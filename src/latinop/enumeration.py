@@ -4,6 +4,8 @@ census at desk scale.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import random
@@ -17,6 +19,7 @@ from .core import (
     ValidationError,
     _trusted_latin,
     check_order,
+    encode,
 )
 
 DEFAULT_CELL_CEILING = 10 ** 7
@@ -25,7 +28,13 @@ DEFAULT_GROUP_CEILING = 100_000
 
 def cell_ceiling() -> int:
     value = os.environ.get("LATINOP_CELL_CEILING")
-    return int(value) if value else DEFAULT_CELL_CEILING
+    if not value:
+        return DEFAULT_CELL_CEILING
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValidationError(
+            f"LATINOP_CELL_CEILING must be a positive integer, got {value!r}"
+        )
+    return int(value)
 
 
 def _check_cells(n: int, d: int, ceiling: int | None) -> int:
@@ -42,101 +51,89 @@ def _check_cells(n: int, d: int, ceiling: int | None) -> int:
     return total
 
 
-def _line_geometry(n: int, d: int):
-    """Per-cell line indices: for each cell and slot, the index of the
-    line (the other d-1 coordinates) it lies on."""
-    total = n ** d
-    line_of = []
-    for m in range(total):
-        coords = []
-        rem = m
-        for _ in range(d):
-            coords.append(rem % n)
-            rem //= n
-        coords.reverse()
-        lines = []
-        for s in range(d):
-            idx = 0
-            for j, c in enumerate(coords):
-                if j != s:
-                    idx = idx * n + c
-            lines.append(idx)
-        line_of.append(tuple(lines))
-    return line_of
+@functools.cache
+def _line_geometry(n: int, d: int) -> tuple:
+    """Per cell, in table order, the indices of its d lines in one flat
+    list of d * n^(d-1) line masks: the slot-s line through a cell is
+    entry s * n^(d-1) + (row-major index of its other d-1 coordinates)."""
+    width = n ** (d - 1)
+    return tuple(
+        tuple(s * width + encode(cell[:s] + cell[s + 1:], n) for s in range(d))
+        for cell in itertools.product(range(n), repeat=d)
+    )
 
 
-def _search_tables(n, d, value_order=None):
-    """Yield all Latin tables in lexicographic order.
+def _search(n: int, d: int, value_order=None):
+    """Yield every Latin table of order n and arity d: in lexicographic
+    order, or trying the values of each cell m in the order
+    value_order(m) gives, which is called once per entry into the cell.
 
-    value_order(cell_index) may supply a per-cell candidate order for
-    randomized search; default is ascending (lexicographic emission).
+    Depth-first over the cells in table order on an explicit stack, with
+    one bitmask of used values per line.  Only the first n^d - n^(d-1)
+    cells are searched.  Each of the first n-1 slot-1 layers is then
+    Latin along every other slot, so the values missing from the slot-1
+    lines form a Latin last layer, filled in without search.  The same
+    list is yielded every time, refilled in place.
     """
-    total = n ** d
     line_of = _line_geometry(n, d)
-    masks = [[0] * (n ** (d - 1)) for _ in range(d)]
-    table = [0] * total
-    full = (1 << n) - 1
-    ascending = list(range(n))
-
-    def rec(m):
-        if m == total:
-            yield tuple(table)
-            return
-        lines = line_of[m]
-        used = 0
-        for s in range(d):
-            used |= masks[s][lines[s]]
-        avail = full & ~used
-        order = ascending if value_order is None else value_order(m)
-        for v in order:
-            bit = 1 << v
-            if avail & bit:
-                table[m] = v
-                for s in range(d):
-                    masks[s][lines[s]] |= bit
-                yield from rec(m + 1)
-                for s in range(d):
-                    masks[s][lines[s]] &= ~bit
+    width = n ** (d - 1)
+    free = len(line_of) - width
+    table = [0] * len(line_of)
+    if not free:  # n == 1: the one table is all zeros
+        yield table
         return
-
-    yield from rec(0)
+    full = (1 << n) - 1
+    masks = [0] * (d * width)
+    rest = [None] * free  # per searched cell below m: candidates not tried
+    m = 0  # avail holds the untried candidates of cell m
+    avail = full if value_order is None else value_order(0)[::-1]
+    while True:
+        if avail:
+            if value_order is None:
+                bit = avail & -avail
+                avail ^= bit
+                table[m] = bit.bit_length() - 1
+            else:
+                table[m] = avail.pop()
+                bit = 1 << table[m]
+            lines = line_of[m]
+            for i in lines:
+                masks[i] |= bit
+            if m + 1 < free:
+                rest[m] = avail
+                m += 1
+                used = 0
+                for i in line_of[m]:
+                    used |= masks[i]
+                avail = full ^ used
+                if value_order is not None:
+                    avail = [v for v in value_order(m)[::-1] if avail >> v & 1]
+                continue
+            table[free:] = [(full ^ used).bit_length() - 1 for used in masks[:width]]
+            yield table
+        else:
+            m -= 1
+            if m < 0:
+                return
+            avail = rest[m]
+            lines = line_of[m]
+            bit = 1 << table[m]
+        for i in lines:
+            masks[i] ^= bit
 
 
 def enumerate_all(n: int, d: int, ceiling: int | None = None):
     """Yield every Latin d-ary operation of order n exactly once, in
     lexicographic table order."""
     _check_cells(n, d, ceiling)
-    for table in _search_tables(n, d):
-        yield _trusted_latin(n, d, table)
+    for table in _search(n, d):
+        yield _trusted_latin(n, d, tuple(table))
 
 
 def count_all(n: int, d: int, ceiling: int | None = None) -> int:
     """Number of Latin d-ary operations of order n."""
-    total = _check_cells(n, d, ceiling)
-    line_of = _line_geometry(n, d)
-    masks = [[0] * (n ** (d - 1)) for _ in range(d)]
-    full = (1 << n) - 1
-
-    def rec(m):
-        if m == total:
-            return 1
-        lines = line_of[m]
-        used = 0
-        for s in range(d):
-            used |= masks[s][lines[s]]
-        avail = full & ~used
-        count = 0
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            for s in range(d):
-                masks[s][lines[s]] |= bit
-            count += rec(m + 1)
-            for s in range(d):
-                masks[s][lines[s]] &= ~bit
-        return count
-
-    return rec(0)
+    _check_cells(n, d, ceiling)
+    return sum(1 for _ in _search(n, d))
 
 
 def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> LatinOp:
@@ -152,9 +149,7 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
         rng.shuffle(order)
         return order
 
-    for table in _search_tables(n, d, value_order):
-        return LatinOp(n, d, table)
-    raise AssertionError("search space is never empty for n >= 1")
+    return LatinOp(n, d, next(_search(n, d, value_order)))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,8 @@ class Transversal:
 
 
 def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]:
-    """Canonical transversals of L, in lexicographic cell-sequence order.
+    """Canonical transversals of L, in lexicographic cell-sequence order;
+    the first ``limit`` of them when a limit is given.
 
     Canonical means the slot-1 component is the identity: cell k has
     slot-1 value k.  Backtracking over slot-1 groups with per-slot
@@ -88,7 +89,8 @@ def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]
                 return True
         return False
 
-    search(0, 0)
+    if limit is None or limit > 0:
+        search(0, 0)
     return out
 
 

@@ -71,6 +71,21 @@ def count_squares_rowwise(n):
     return completions(tuple([0] * n))
 
 
+def latin_tables_lex(n, d):
+    """Every Latin table of order n and arity d, in lexicographic order,
+    by generate and test.
+
+    The candidates are the concatenations of n slot-1 layers, each a
+    Latin table of arity d-1 (a single value when d = 1); every Latin
+    table is one of them, and itertools.product emits them in
+    lexicographic order.  Each candidate is kept if it passes the
+    definition-level check.  Only sane up to about (3, 3) and (2, 5).
+    """
+    layers = [(v,) for v in range(n)] if d == 1 else latin_tables_lex(n, d - 1)
+    candidates = (sum(combo, ()) for combo in itertools.product(layers, repeat=n))
+    return [table for table in candidates if table_is_latin(n, d, table)]
+
+
 def count_cubes_layered(n):
     """Latin cubes (d=3) of order n: ordered tuples of n Latin squares
     that are cellwise disjoint.  Only sane for n <= 3."""

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from oracles import (
     count_cubes_layered,
     count_squares_rowwise,
     cyclic_table,
+    latin_tables_lex,
 )
 
 
@@ -70,6 +72,45 @@ def test_enumerate_emits_latin_unique_lexicographic():
         assert tables == sorted(tables)
         for op in enumerate_all(n, d):
             assert is_latin(op)
+
+
+def test_enumerate_matches_lex_generate_and_test():
+    for n, d in [(1, 1), (1, 3), (4, 1), (2, 5), (3, 2), (3, 3)]:
+        assert [op.table for op in enumerate_all(n, d)] == latin_tables_lex(n, d)
+
+
+def test_deep_shapes_need_no_recursion():
+    # 2187 and 1024 cells: deeper than the interpreter's recursion limit
+    assert count_all(3, 7) == 3 * 2 ** 7
+    for n, d in [(4, 5), (2, 10)]:
+        op = random_latin(n, d, seed=3)
+        assert (op.n, op.d) == (n, d) and is_latin(op)
+
+
+# Seeded outputs are part of the contract: a seed must keep giving the
+# same table whatever the search's internals.
+RANDOM_TABLES = {
+    (5, 2, 7): (4, 2, 3, 1, 0, 3, 4, 1, 0, 2, 1, 0, 4, 2, 3, 0, 3, 2, 4, 1,
+                2, 1, 0, 3, 4),
+    (4, 3, 1): (3, 1, 0, 2, 2, 3, 1, 0, 1, 0, 2, 3, 0, 2, 3, 1, 1, 0, 2, 3,
+                0, 1, 3, 2, 3, 2, 0, 1, 2, 3, 1, 0, 0, 2, 3, 1, 1, 0, 2, 3,
+                2, 3, 1, 0, 3, 1, 0, 2, 2, 3, 1, 0, 3, 2, 0, 1, 0, 1, 3, 2,
+                1, 0, 2, 3),
+}
+RANDOM_TABLE_SHA256 = {
+    (10, 2, 0): "7a6eca139eae514089431b69dc91441609e1e1dbbd04ce46b4f9ac32d3080c58",
+    (13, 2, 5): "43f7ecfde95ef1995e65804cd9a4ab982f4972c5660e3c2c178b23f088c03ec8",
+    (5, 3, 2): "d944b78ec78ebd665ecfde5372ffb87d36e5803fc79658c177b0a68389c9c88f",
+    (3, 6, 1): "d180ddd46b3cbda43e4cfd0b382b19335fcad2a14eb239243872149c2b628061",
+}
+
+
+def test_random_latin_pinned_tables():
+    for (n, d, seed), table in RANDOM_TABLES.items():
+        assert random_latin(n, d, seed=seed).table == table
+    for (n, d, seed), digest in RANDOM_TABLE_SHA256.items():
+        table = random_latin(n, d, seed=seed).table
+        assert hashlib.sha256(repr(table).encode()).hexdigest() == digest
 
 
 def test_cell_ceiling_refusal():

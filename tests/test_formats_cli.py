@@ -167,6 +167,14 @@ def test_enumerate_ceiling_exits_3(capsys):
     assert main(["enumerate", "--n", "10", "--d", "2", "--cell-ceiling", "5"]) == 3
 
 
+def test_ceiling_env_not_a_positive_integer_exits_2(monkeypatch, capsys):
+    for value in ("abc", "0", "-5", "1e3"):
+        monkeypatch.setenv("LATINOP_CELL_CEILING", value)
+        assert main(["enumerate", "--n", "3", "--d", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "LATINOP_CELL_CEILING" in err and "Traceback" not in err
+
+
 def test_random_cli_deterministic(capsys):
     assert main(["random", "--n", "4", "--d", "2", "--seed", "9"]) == 0
     first = capsys.readouterr().out

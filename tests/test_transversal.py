@@ -50,6 +50,7 @@ def test_canonical_order_and_limit():
         assert [cell[0] for cell in t.cells] == list(range(5))
     assert found == sorted(found, key=lambda t: t.cells)
     assert find_transversals(cyclic_square(5), limit=4) == found[:4]
+    assert find_transversals(cyclic_square(5), limit=0) == []
 
 
 def test_transversals_live_in_host():
