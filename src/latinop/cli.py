@@ -42,6 +42,13 @@ def _read_text(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+def _open_output(path):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_raw(path):
     return parse_lhc(_read_text(path))
 
@@ -100,7 +107,7 @@ def cmd_enumerate(args):
     if args.stream is None:
         print(count_all(args.n, args.d, args.cell_ceiling))
         return 0
-    out = sys.stdout if args.stream == "-" else open(args.stream, "w", encoding="utf-8")
+    out = sys.stdout if args.stream == "-" else _open_output(args.stream)
     try:
         first = True
         for op in enumerate_all(args.n, args.d, args.cell_ceiling):
@@ -171,7 +178,7 @@ def cmd_graph(args):
             if lines:
                 print(lines)
         else:
-            with open(args.edges, "w", encoding="utf-8") as fh:
+            with _open_output(args.edges) as fh:
                 fh.write(lines + ("\n" if lines else ""))
         return 0
     stats = graph_stats(L)

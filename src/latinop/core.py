@@ -8,7 +8,10 @@ them.  All types are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
+
+DEFAULT_CELL_CEILING = 10 ** 7
 
 
 class ValidationError(ValueError):
@@ -22,6 +25,34 @@ class CeilingError(RuntimeError):
 def check_order(n: int) -> None:
     if n < 1:
         raise ValidationError(f"carrier order must be >= 1, got {n}")
+
+
+def cell_ceiling() -> int:
+    value = os.environ.get("LATINOP_CELL_CEILING")
+    if not value:
+        return DEFAULT_CELL_CEILING
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValidationError(
+            f"LATINOP_CELL_CEILING must be a positive integer, got {value!r}"
+        )
+    return int(value)
+
+
+def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
+    """n ** d, the cell count of an order-n, arity-d table, after
+    checking it against the ceiling (LATINOP_CELL_CEILING by default)."""
+    check_order(n)
+    if d < 1:
+        raise ValidationError(f"arity must be >= 1, got {d}")
+    if ceiling is None:
+        ceiling = cell_ceiling()
+    # n^d >= 2^(d * (bit_length(n) - 1)): a huge claim is refused before
+    # n^d is formed, so no power much beyond the ceiling squared is built
+    if d * (n.bit_length() - 1) > ceiling.bit_length() or n ** d > ceiling:
+        raise CeilingError(
+            f"n^d = {n}^{d} table cells exceeds the ceiling of {ceiling}"
+        )
+    return n ** d
 
 
 def encode(args, n: int) -> int:

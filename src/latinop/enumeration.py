@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -17,38 +16,12 @@ from .core import (
     CellSet,
     LatinOp,
     ValidationError,
+    _check_cells,
     _trusted_latin,
-    check_order,
     encode,
 )
 
-DEFAULT_CELL_CEILING = 10 ** 7
 DEFAULT_GROUP_CEILING = 100_000
-
-
-def cell_ceiling() -> int:
-    value = os.environ.get("LATINOP_CELL_CEILING")
-    if not value:
-        return DEFAULT_CELL_CEILING
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ValidationError(
-            f"LATINOP_CELL_CEILING must be a positive integer, got {value!r}"
-        )
-    return int(value)
-
-
-def _check_cells(n: int, d: int, ceiling: int | None) -> int:
-    check_order(n)
-    if d < 1:
-        raise ValidationError(f"arity must be >= 1, got {d}")
-    if ceiling is None:
-        ceiling = cell_ceiling()
-    total = n ** d
-    if total > ceiling:
-        raise CeilingError(
-            f"n^d = {total} table cells exceeds the ceiling of {ceiling}"
-        )
-    return total
 
 
 @functools.cache

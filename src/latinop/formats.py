@@ -8,9 +8,10 @@ separated by a blank line.  .tsv holds n lines, each a (d+1)-tuple.
 """
 from __future__ import annotations
 
+import itertools
 import re
 
-from .core import RawOp, ValidationError
+from .core import RawOp, ValidationError, _check_cells
 from .transversal import Transversal
 
 _TOKEN = re.compile(r"\S+")
@@ -38,16 +39,17 @@ def _int_token(tok):
 
 def parse_lhc(text: str) -> RawOp:
     """Parse one .lhc record into a RawOp (Latin property not required)."""
-    toks = list(_tokens(text))
-    if len(toks) < 2:
+    toks = _tokens(text)
+    header = list(itertools.islice(toks, 2))
+    if len(header) < 2:
         raise FormatError("line 1, column 1: missing 'n d' header")
-    n = _int_token(toks[0])
-    d = _int_token(toks[1])
+    n = _int_token(header[0])
+    d = _int_token(header[1])
     if n < 1 or d < 1:
-        line, col = toks[0][1], toks[0][2]
+        line, col = header[0][1], header[0][2]
         raise FormatError(f"line {line}, column {col}: n and d must be >= 1")
-    expected = n ** d
-    body = toks[2:]
+    expected = _check_cells(n, d)  # before the body is read
+    body = list(toks)
     if len(body) != expected:
         if len(body) < expected:
             raise FormatError(

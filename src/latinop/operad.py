@@ -10,7 +10,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import LatinOp, RawOp, ValidationError, encode, is_latin
+from .core import (
+    CeilingError,
+    LatinOp,
+    RawOp,
+    ValidationError,
+    _check_cells,
+    cell_ceiling,
+    is_latin,
+)
 
 
 @dataclass(frozen=True)
@@ -55,18 +63,18 @@ def unit(n: int) -> LatinOp:
 
 
 def _compose_table(n, d, ftab, e, gtab, i):
-    """Raw table of f composed with g substituted into slot i (1-based)."""
-    npre = n ** (i - 1)
-    ne = n ** e
+    """Raw table of f composed with g substituted into slot i (1-based).
+
+    Output row (a, b) over the first i-1+e arguments is the row
+    a * n + g[b] of f cut into rows over its last d-i arguments.
+    """
+    bases = range(0, n ** i, n)
     nsuf = n ** (d - i)
-    out = [0] * (npre * ne * nsuf)
-    for a in range(npre):
-        abase = a * n
-        for b in range(ne):
-            frow = (abase + gtab[b]) * nsuf
-            obase = (a * ne + b) * nsuf
-            out[obase:obase + nsuf] = ftab[frow:frow + nsuf]
-    return tuple(out)
+    if nsuf == 1:
+        return tuple([ftab[a + gb] for a in bases for gb in gtab])
+    rows = [ftab[k:k + nsuf] for k in range(0, len(ftab), nsuf)]
+    picked = [rows[a + gb] for a in bases for gb in gtab]
+    return tuple(itertools.chain.from_iterable(picked))
 
 
 def compose_at(f: LatinOp, g: LatinOp, i: int) -> LatinOp:
@@ -75,15 +83,23 @@ def compose_at(f: LatinOp, g: LatinOp, i: int) -> LatinOp:
         raise ValidationError(f"carrier mismatch: {f.n} != {g.n}")
     if not 1 <= i <= f.d:
         raise ValidationError(f"slot {i} out of range 1..{f.d}")
+    _check_cells(f.n, f.d + g.d - 1)
     table = _compose_table(f.n, f.d, f.table, g.d, g.table, i)
     return LatinOp(f.n, f.d + g.d - 1, table)
 
 
 def _act_table(perm, n, d, table):
-    out = [0] * len(table)
-    for idx, args in enumerate(itertools.product(range(n), repeat=d)):
-        out[idx] = table[encode((args[perm[k] - 1] for k in range(d)), n)]
-    return tuple(out)
+    """Raw table of (perm . f): argument k of f, counting from 0, is
+    argument perm[k] of the output, so output slot perm[k] carries the
+    source stride n^(d-1-k); the strides expand to one source index per
+    output cell."""
+    stride = [0] * d
+    for k, p in enumerate(perm):
+        stride[p - 1] = n ** (d - 1 - k)
+    src = [0]
+    for w in stride:
+        src = [x + a * w for x in src for a in range(n)]
+    return tuple([table[x] for x in src])
 
 
 def act(sigma: SlotPermutation, f: LatinOp) -> LatinOp:
@@ -199,30 +215,42 @@ def verify_operad_axioms(
     report = OperadReport(n=n, max_degree=max_degree, exhaustive=exhaustive)
     allops = [op for deg in sorted(pools) for op in pools[deg]]
 
+    # comp[x, y, i] = allops[x] o_i allops[y], built once: the closure
+    # table, and an operand of the associativity and equivariance checks
+    cells = sum(
+        len(pools[d]) * len(pools[e]) * d * n ** (d + e - 1)
+        for d in pools
+        for e in pools
+    )
+    ceiling = cell_ceiling()
+    if cells > ceiling:
+        raise CeilingError(
+            f"{cells} cells of pool composites exceed the ceiling of {ceiling}"
+        )
+    comp = {}
     closure = AxiomResult("closure")
-    for f in allops:
-        for g in allops:
+    for x, f in enumerate(allops):
+        for y, g in enumerate(allops):
             for i in range(1, f.d + 1):
                 closure.checks += 1
-                tab = _compose_table(n, f.d, f.table, g.d, g.table, i)
+                tab = comp[x, y, i] = _compose_table(n, f.d, f.table, g.d, g.table, i)
                 if not is_latin(RawOp(n, f.d + g.d - 1, tab)):
                     closure.fail(f"f={f.table} g={g.table} i={i}")
     report.results.append(closure)
 
     seq = AxiomResult("sequential-associativity")
     par = AxiomResult("parallel-associativity")
-    for f in allops:
-        for g in allops:
-            for h in allops:
+    for x, f in enumerate(allops):
+        for y, g in enumerate(allops):
+            for z, h in enumerate(allops):
                 d, e, e2 = f.d, g.d, h.d
                 for i in range(1, d + 1):
-                    fg = _compose_table(n, d, f.table, e, g.table, i)
+                    fg = comp[x, y, i]
                     # (f o_i g) o_{i-1+j} h == f o_i (g o_j h)
                     for j in range(1, e + 1):
                         seq.checks += 1
                         lhs = _compose_table(n, d + e - 1, fg, e2, h.table, i - 1 + j)
-                        gh = _compose_table(n, e, g.table, e2, h.table, j)
-                        rhs = _compose_table(n, d, f.table, e + e2 - 1, gh, i)
+                        rhs = _compose_table(n, d, f.table, e + e2 - 1, comp[y, z, j], i)
                         if lhs != rhs:
                             seq.fail(
                                 f"f={f.table} g={g.table} h={h.table} i={i} j={j}"
@@ -231,8 +259,7 @@ def verify_operad_axioms(
                     for k in range(i + 1, d + 1):
                         par.checks += 1
                         lhs = _compose_table(n, d + e - 1, fg, e2, h.table, k + e - 1)
-                        fh = _compose_table(n, d, f.table, e2, h.table, k)
-                        rhs = _compose_table(n, d + e2 - 1, fh, e, g.table, i)
+                        rhs = _compose_table(n, d + e2 - 1, comp[x, z, k], e, g.table, i)
                         if lhs != rhs:
                             par.fail(
                                 f"f={f.table} g={g.table} h={h.table} i={i} k={k}"
@@ -253,10 +280,10 @@ def verify_operad_axioms(
     report.results.append(unit_ax)
 
     equi = AxiomResult("equivariance")
-    for f in allops:
+    for x, f in enumerate(allops):
         d = f.d
         sigmas = [SlotPermutation(d, p) for p in itertools.permutations(range(1, d + 1))]
-        for g in allops:
+        for y, g in enumerate(allops):
             e = g.d
             taus = [SlotPermutation(e, p) for p in itertools.permutations(range(1, e + 1))]
             for sigma in sigmas:
@@ -266,9 +293,8 @@ def verify_operad_axioms(
                     # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
                     equi.checks += 1
                     lhs = _compose_table(n, d, sf, e, g.table, k)
-                    base = _compose_table(n, d, f.table, e, g.table, inv(k))
                     pi = block_permutation(sigma, k, e)
-                    if lhs != _act_table(pi.perm, n, d + e - 1, base):
+                    if lhs != _act_table(pi.perm, n, d + e - 1, comp[x, y, inv(k)]):
                         equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}")
             for tau in taus:
                 tg = _act_table(tau.perm, n, e, g.table)
@@ -276,9 +302,8 @@ def verify_operad_axioms(
                     # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g)
                     equi.checks += 1
                     lhs = _compose_table(n, d, f.table, e, tg, i)
-                    base = _compose_table(n, d, f.table, e, g.table, i)
                     pi = embed_permutation(tau, i, d)
-                    if lhs != _act_table(pi.perm, n, d + e - 1, base):
+                    if lhs != _act_table(pi.perm, n, d + e - 1, comp[x, y, i]):
                         equi.fail(f"inner f={f.table} g={g.table} tau={tau.perm} i={i}")
     report.results.append(equi)
     return report

@@ -4,7 +4,7 @@ the table-level operations in :mod:`latinop.operad`.
 """
 from __future__ import annotations
 
-from .core import CellSet, ValidationError
+from .core import CellSet, ValidationError, _check_cells
 
 
 def projection_tau(t: tuple, s: int) -> tuple:
@@ -26,6 +26,7 @@ def pullback_compose(L: CellSet, M: CellSet, i: int) -> CellSet:
         raise ValidationError(f"carrier mismatch: {L.n} != {M.n}")
     if not 1 <= i <= L.d:
         raise ValidationError(f"slot {i} out of range 1..{L.d}")
+    _check_cells(L.n, L.d + M.d - 1)
     # bucket M by its output (last-slot) value
     buckets = [[] for _ in range(M.n)]
     for m in M.cells:

@@ -175,6 +175,34 @@ def test_ceiling_env_not_a_positive_integer_exits_2(monkeypatch, capsys):
         assert "LATINOP_CELL_CEILING" in err and "Traceback" not in err
 
 
+def assert_refused(argv, capsys):
+    assert main(argv) in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_huge_header_short_body_refused(tmp_path, capsys):
+    # 3^200000 has more digits than int-to-str conversion allows
+    assert_refused(["check", write(tmp_path, "f.lhc", "3 200000\n0 1 2\n")], capsys)
+
+
+def test_enumerate_stream_missing_dir_refused(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x")
+    assert_refused(["enumerate", "--n", "2", "--d", "2", "--stream", out], capsys)
+
+
+def test_graph_edges_missing_dir_refused(tmp_path, capsys):
+    path = write(tmp_path, "f.lhc", ADD3)
+    assert_refused(["graph", path, "--edges", str(tmp_path / "missing" / "x")], capsys)
+
+
+def test_compose_over_ceiling_refused(tmp_path, monkeypatch, capsys):
+    # the operands fit under the ceiling, their order-5 composite does not
+    big = write(tmp_path, "f.lhc", emit_lhc(LatinOp(5, 2, cyclic_table(5))))
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "100")
+    for sub in ("compose", "pullback-compose"):
+        assert_refused([sub, big, big, "--slot", "1"], capsys)
+
+
 def test_random_cli_deterministic(capsys):
     assert main(["random", "--n", "4", "--d", "2", "--seed", "9"]) == 0
     first = capsys.readouterr().out

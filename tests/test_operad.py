@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from latinop import (
+    CeilingError,
     LatinOp,
     RawOp,
     SlotPermutation,
@@ -13,12 +15,15 @@ from latinop import (
     compose_perm_at,
     conjugate,
     embed_permutation,
+    graph_of,
     is_latin,
+    pullback_compose,
     unit,
     verify_operad_axioms,
 )
+from latinop import operad
 from latinop.enumeration import enumerate_all, random_latin
-from latinop.operad import AxiomResult
+from latinop.operad import AxiomResult, _act_table, _compose_table
 
 from oracles import compose_permutations, cyclic_table
 
@@ -78,6 +83,26 @@ def test_compose_unit_laws_all_ops():
                 assert compose_at(e, f, 1) == f
                 for i in range(1, d + 1):
                     assert compose_at(f, e, i) == f
+
+
+def test_table_kernels_match_pointwise_definition():
+    # raw tables need not be Latin: the kernels only reindex
+    rng = random.Random(0)
+    for n in range(1, 5):
+        for d in range(1, 4):
+            f = RawOp(n, d, tuple(rng.randrange(n) for _ in range(n ** d)))
+            for perm in itertools.permutations(range(1, d + 1)):
+                got = _act_table(perm, n, d, f.table)
+                for idx, xs in enumerate(itertools.product(range(n), repeat=d)):
+                    assert got[idx] == f(*(xs[p - 1] for p in perm))
+            for e in range(1, 4):
+                g = RawOp(n, e, tuple(rng.randrange(n) for _ in range(n ** e)))
+                for i in range(1, d + 1):
+                    got = _compose_table(n, d, f.table, e, g.table, i)
+                    points = itertools.product(range(n), repeat=d + e - 1)
+                    for idx, xs in enumerate(points):
+                        inner = g(*xs[i - 1:i - 1 + e])
+                        assert got[idx] == f(*xs[:i - 1], inner, *xs[i - 1 + e:])
 
 
 def test_compose_errors():
@@ -216,6 +241,47 @@ def test_axiom_harness_reports_injected_fault():
     if not is_latin(RawOp(2, 3, tuple(tampered))):
         fault.fail("witness")
     assert not fault.passed and fault.witness == "witness"
+
+
+def test_verifier_reports_flipped_composites(monkeypatch):
+    compose = operad._compose_table
+
+    def flipped(n, d, ftab, e, gtab, i):
+        tab = compose(n, d, ftab, e, gtab, i)
+        return (tab[0] ^ 1,) + tab[1:] if d + e - 1 == 3 else tab
+
+    monkeypatch.setattr(operad, "_compose_table", flipped)
+    report = verify_operad_axioms(2, 2)
+    assert {r.axiom: r.passed for r in report.results} == {
+        "closure": False,
+        "sequential-associativity": False,
+        "parallel-associativity": False,
+        "unit": True,
+        "equivariance": True,
+    }
+
+
+def test_verifier_reports_act_ignoring_permutation(monkeypatch):
+    monkeypatch.setattr(operad, "_act_table", lambda perm, n, d, table: tuple(table))
+    report = verify_operad_axioms(3, 2)
+    assert {r.axiom: r.witness for r in report.results if not r.passed} == {
+        "equivariance": "outer f=(0, 1, 2, 1, 2, 0, 2, 0, 1) g=(0, 2, 1) sigma=(2, 1) k=1"
+    }
+
+
+def test_composite_ceilings(monkeypatch):
+    f = LatinOp(3, 2, cyclic_table(3))
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "26")  # 3^3 composite cells
+    with pytest.raises(CeilingError):
+        compose_at(f, f, 1)
+    with pytest.raises(CeilingError):
+        pullback_compose(graph_of(f), graph_of(f), 1)
+    # (3, 1) pools: 36 pairs of 3-cell composites
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "107")
+    with pytest.raises(CeilingError):
+        verify_operad_axioms(3, 1)
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "108")
+    assert verify_operad_axioms(3, 1).ok
 
 
 def test_closure_exhaustive_small_orders():
