@@ -1,12 +1,13 @@
 """Core representations of Latin hypercubes over the carrier {0..n-1}.
 
-Two equivalent views are supported: a d-ary operation given by a dense
-table (``LatinOp``), and an explicit cell subset of the (d+1)-fold
-product (``CellSet``).  ``graph_of`` / ``function_of`` convert between
-them.  All types are immutable after construction.
+A d-ary operation given by a dense table (``LatinOp``) and its graph, the
+cell subset of the (d+1)-fold product (``CellSet``), share one verified
+table, so ``graph_of`` / ``function_of`` convert between them in O(1).
+All types are immutable after construction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -31,11 +32,15 @@ def cell_ceiling() -> int:
     value = os.environ.get("LATINOP_CELL_CEILING")
     if not value:
         return DEFAULT_CELL_CEILING
-    if not value.strip().isdecimal() or int(value) < 1:
+    try:
+        ceiling = int(value) if value.strip().isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        ceiling = 0
+    if ceiling < 1:
         raise ValidationError(
             f"LATINOP_CELL_CEILING must be a positive integer, got {value!r}"
         )
-    return int(value)
+    return ceiling
 
 
 def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
@@ -52,6 +57,11 @@ def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
         raise CeilingError(
             f"n^d = {n}^{d} table cells exceeds the ceiling of {ceiling}"
         )
+    # only n = 1 gets here with such an arity: it has one cell at any arity
+    if d > ceiling.bit_length():
+        raise CeilingError(
+            f"arity {d} exceeds the bit length of the cell ceiling {ceiling}"
+        )
     return n ** d
 
 
@@ -61,14 +71,6 @@ def encode(args, n: int) -> int:
     for a in args:
         idx = idx * n + a
     return idx
-
-
-def decode(idx: int, n: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode`."""
-    out = [0] * d
-    for s in range(d - 1, -1, -1):
-        idx, out[s] = divmod(idx, n)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ class RawOp:
         return itertools.product(range(self.n), repeat=self.d)
 
 
-def is_latin(f: RawOp) -> bool:
-    """True iff f is bijective in each argument slot separately."""
-    n, d, t = f.n, f.d, f.table
+def _non_latin_slot(n: int, d: int, t) -> int:
+    """The first 1-based argument slot in which table t is not
+    bijective, or 0 if it is Latin."""
     for s in range(d):
         stride = n ** (d - 1 - s)
         block = stride * n
@@ -122,9 +124,14 @@ def is_latin(f: RawOp) -> bool:
                 for k in range(n):
                     bit = 1 << t[base + k * stride]
                     if seen & bit:
-                        return False
+                        return s + 1
                     seen |= bit
-    return True
+    return 0
+
+
+def is_latin(f: RawOp) -> bool:
+    """True iff f is bijective in each argument slot separately."""
+    return not _non_latin_slot(f.n, f.d, f.table)
 
 
 @dataclass(frozen=True)
@@ -139,48 +146,74 @@ class LatinOp(RawOp):
             )
 
 
-@dataclass(frozen=True)
+def _check_cell_shapes(cells, n: int, d: int) -> None:
+    """Raise ValidationError unless every cell is a (d+1)-tuple of ints
+    in [0, n)."""
+    for cell in cells:
+        if len(cell) != d + 1:
+            raise ValidationError(
+                f"cell {cell} has length {len(cell)}, expected {d + 1}"
+            )
+        for v in cell:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValidationError(f"cell {cell} entry out of range [0, {n})")
+
+
+def _cell_table(cells, n: int, d: int) -> tuple:
+    """The Latin table whose graph is the shape-checked ``cells``.
+
+    Raises ValidationError on a wrong cell count or when discarding a
+    slot is not a bijection onto X^d: a repeated argument prefix fails
+    slot d+1, a non-bijective argument slot fails that slot.
+    """
+    size = n ** d
+    if len(cells) != size:
+        raise ValidationError(f"cell count {len(cells)} != n^d = {size}")
+    table = [None] * size
+    for cell in cells:
+        i = encode(cell[:-1], n)
+        if table[i] is not None:
+            slot = d + 1  # a repeated argument prefix
+            break
+        table[i] = cell[-1]
+    else:
+        slot = _non_latin_slot(n, d, table)
+    if slot:
+        raise ValidationError(f"slot {slot} projection is not bijective onto X^{d}")
+    return tuple(table)
+
+
+@dataclass(frozen=True, init=False)
 class CellSet:
-    """A Latin hypercube as an explicit subset of X^(d+1).
+    """A Latin hypercube as the subset of X^(d+1) that is the graph of a
+    Latin table: the cells (x_1..x_d, table[x_1..x_d]).
 
     Invariants: exactly n^d cells, and discarding any one coordinate
-    slot is a bijection onto X^d.
+    slot is a bijection onto X^d.  Equality and hash are those of
+    (n, d, table); the frozenset ``cells`` is built on first use.
     """
 
     n: int
     d: int
-    cells: frozenset
+    table: tuple
 
-    def __post_init__(self):
-        check_order(self.n)
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        object.__setattr__(self, "cells", frozenset(map(tuple, self.cells)))
-        n, d = self.n, self.d
-        for cell in self.cells:
-            if len(cell) != d + 1:
-                raise ValidationError(
-                    f"cell {cell} has length {len(cell)}, expected {d + 1}"
-                )
-            for v in cell:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValidationError(f"cell {cell} entry out of range [0, {n})")
-        if len(self.cells) != n ** d:
-            raise ValidationError(
-                f"cell count {len(self.cells)} != n^d = {n ** d}"
-            )
-        for s in range(1, d + 2):
-            seen = set()
-            for cell in self.cells:
-                proj = cell[: s - 1] + cell[s:]
-                if proj in seen:
-                    raise ValidationError(
-                        f"slot {s} projection is not bijective onto X^{d}"
-                    )
-                seen.add(proj)
+    def __init__(self, n: int, d: int, cells):
+        check_order(n)
+        if d < 1:
+            raise ValidationError(f"dimension must be >= 1, got {d}")
+        cells = frozenset(map(tuple, cells))
+        _check_cell_shapes(cells, n, d)
+        table = _cell_table(cells, n, d)
+        self.__dict__.update(n=n, d=d, table=table, cells=cells)
 
     def sorted_cells(self) -> tuple:
-        return tuple(sorted(self.cells))
+        """The cells in lexicographic order, which is table order."""
+        args = itertools.product(range(self.n), repeat=self.d)
+        return tuple(a + (v,) for a, v in zip(args, self.table))
+
+    @functools.cached_property
+    def cells(self) -> frozenset:
+        return frozenset(self.sorted_cells())
 
 
 def is_latin_cellset(cells, n: int, d: int) -> bool:
@@ -192,43 +225,24 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
     """
     check_order(n)
     cells = [tuple(c) for c in cells]
-    for cell in cells:
-        if len(cell) != d + 1:
-            raise ValidationError(
-                f"cell {cell} has length {len(cell)}, expected {d + 1}"
-            )
-        for v in cell:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ValidationError(f"cell {cell} entry out of range [0, {n})")
-    if len(set(cells)) != n ** d:
+    _check_cell_shapes(cells, n, d)
+    try:
+        _cell_table(cells, n, d)
+    except ValidationError:
         return False
-    for s in range(d + 1):
-        seen = set()
-        for cell in cells:
-            proj = cell[:s] + cell[s + 1:]
-            if proj in seen:
-                return False
-            seen.add(proj)
     return True
 
 
-def _trusted_cellset(n: int, d: int, cells: frozenset) -> CellSet:
-    """CellSet constructor bypassing validation, for cells whose
-    invariants hold by construction (e.g. graphs of verified LatinOps)."""
-    obj = object.__new__(CellSet)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, "d", d)
-    object.__setattr__(obj, "cells", cells)
-    return obj
-
-
-def _trusted_latin(n: int, d: int, table: tuple) -> LatinOp:
-    """LatinOp constructor bypassing validation, for tables produced by
-    the enumeration search (Latin by construction)."""
-    obj = object.__new__(LatinOp)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, "d", d)
-    object.__setattr__(obj, "table", table)
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with the given fields,
+    built without validation: for values whose invariants hold by
+    construction (search output, tables of verified operations)."""
+    obj = object.__new__(cls)
+    # not __dict__.update: that gives each object a dict of its own, which
+    # costs memory (searches return tens of thousands of transversals) and
+    # slows every later read of the fields
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -236,20 +250,13 @@ def graph_of(f: LatinOp) -> CellSet:
     """The cell set {(x_1..x_d, f(x_1..x_d))}."""
     if not isinstance(f, LatinOp):
         raise ValidationError("graph_of expects a verified LatinOp")
-    cells = frozenset(
-        args + (v,) for args, v in zip(f.arg_tuples(), f.table)
-    )
     # the Latin property of f is exactly the cell-set invariant
-    return _trusted_cellset(f.n, f.d, cells)
+    return _trusted(CellSet, n=f.n, d=f.d, table=f.table)
 
 
 def function_of(L: CellSet) -> LatinOp:
     """The unique LatinOp whose graph is L (inverse of graph_of)."""
-    n, d = L.n, L.d
-    table = [0] * (n ** d)
-    for cell in L.cells:
-        table[encode(cell[:-1], n)] = cell[-1]
-    return LatinOp(n, d, tuple(table))
+    return _trusted(LatinOp, n=L.n, d=L.d, table=L.table)
 
 
 def conjugate(f: LatinOp, s: int) -> LatinOp:

@@ -17,8 +17,9 @@ from .core import (
     LatinOp,
     ValidationError,
     _check_cells,
-    _trusted_latin,
+    _trusted,
     encode,
+    graph_of,
 )
 
 DEFAULT_GROUP_CEILING = 100_000
@@ -100,7 +101,7 @@ def enumerate_all(n: int, d: int, ceiling: int | None = None):
     lexicographic table order."""
     _check_cells(n, d, ceiling)
     for table in _search(n, d):
-        yield _trusted_latin(n, d, tuple(table))
+        yield _trusted(LatinOp, n=n, d=d, table=tuple(table))
 
 
 def count_all(n: int, d: int, ceiling: int | None = None) -> int:
@@ -259,7 +260,7 @@ def canonical_form(L: CellSet, ceiling: int | None = None) -> CellSet:
     Two hypercubes are paratopic iff their canonical forms coincide.
     """
     _check_group_ceiling(L.n, L.d, ceiling)
-    best = min(_orbit(L), key=lambda cells: tuple(sorted(cells)))
+    best = min(_orbit(L), key=sorted)
     return CellSet(L.n, L.d, best)
 
 
@@ -271,17 +272,14 @@ def orbit_census(n: int, d: int, ceiling: int | None = None,
     census = {}
     seen = set()
     total = 0
-    from .core import graph_of
-
     for op in enumerate_all(n, d, cell_ceiling_):
         total += 1
-        cells = graph_of(op).cells
-        if cells in seen:
+        L = graph_of(op)
+        if L.cells in seen:
             continue
-        orbit = _orbit(CellSet(n, d, cells))
+        orbit = _orbit(L)
         seen |= orbit
-        best = min(orbit, key=lambda c: tuple(sorted(c)))
-        census[CellSet(n, d, best)] = len(orbit)
+        census[CellSet(n, d, min(orbit, key=sorted))] = len(orbit)
     if sum(census.values()) != total:
         raise AssertionError("orbit sizes do not sum to the total count")
     return census

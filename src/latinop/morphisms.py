@@ -24,8 +24,18 @@ def is_homomorphism(iota, g: LatinOp, f: LatinOp) -> bool:
     for v in iota:
         if not isinstance(v, int) or not 0 <= v < f.n:
             raise ValidationError(f"map value {v!r} out of range [0, {f.n})")
-    for args in g.arg_tuples():
-        if iota[g(*args)] != f(*(iota[y] for y in args)):
+    return _preserves(iota, g, f)
+
+
+def _preserves(iota, g: LatinOp, f: LatinOp) -> bool:
+    """True iff iota(g(y)) = f(iota(y_1)..iota(y_d)) at every point y of
+    g's table, stopping at the first point where it fails."""
+    n, ft = f.n, f.table
+    for args, v in zip(g.arg_tuples(), g.table):
+        i = 0
+        for y in args:
+            i = i * n + iota[y]
+        if ft[i] != iota[v]:
             return False
     return True
 
@@ -41,15 +51,9 @@ def automorphisms(f: LatinOp, ceiling: int = DEFAULT_AUTO_CEILING) -> list:
         raise CeilingError(
             f"carrier order {n} exceeds the automorphism-scan ceiling {ceiling}"
         )
-    found = []
-    for iota in itertools.permutations(range(n)):
-        ok = True
-        for args in f.arg_tuples():
-            if iota[f(*args)] != f(*(iota[y] for y in args)):
-                ok = False
-                break
-        if ok:
-            found.append(iota)
+    found = [
+        iota for iota in itertools.permutations(range(n)) if _preserves(iota, f, f)
+    ]
     group = set(found)
     for a in found:
         inv = [0] * n

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CellSet, ValidationError
+from .core import CellSet, ValidationError, _check_cell_shapes, _trusted
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,7 @@ class Transversal:
             raise ValidationError(
                 f"transversal has {len(self.cells)} cells, expected {n}"
             )
-        for cell in self.cells:
-            if len(cell) != d + 1:
-                raise ValidationError(
-                    f"cell {cell} has length {len(cell)}, expected {d + 1}"
-                )
-            for v in cell:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise ValidationError(f"cell {cell} entry out of range [0, {n})")
+        _check_cell_shapes(self.cells, n, d)
         for s in range(d + 1):
             if len({cell[s] for cell in self.cells}) != n:
                 raise ValidationError(
@@ -47,15 +40,6 @@ class Transversal:
 
     def is_contained_in(self, L: CellSet) -> bool:
         return all(cell in L.cells for cell in self.cells)
-
-    @classmethod
-    def _from_search(cls, n, d, cells):
-        # search output satisfies the invariants by construction
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "d", d)
-        object.__setattr__(obj, "cells", cells)
-        return obj
 
 
 def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]:
@@ -69,7 +53,7 @@ def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]
     n, d = L.n, L.d
     # one bitfield of n bits per slot 2..d+1, packed into a single int
     packed = [[] for _ in range(n)]
-    for cell in sorted(L.cells):
+    for cell in L.sorted_cells():
         mask = 0
         for s in range(d):
             mask |= 1 << (s * n + cell[s + 1])
@@ -79,7 +63,7 @@ def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]
 
     def search(k, used):
         if k == n:
-            out.append(Transversal._from_search(n, d, tuple(chosen)))
+            out.append(_trusted(Transversal, n=n, d=d, cells=tuple(chosen)))
             return limit is not None and len(out) >= limit
         for mask, cell in packed[k]:
             if used & mask:

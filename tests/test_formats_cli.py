@@ -168,7 +168,7 @@ def test_enumerate_ceiling_exits_3(capsys):
 
 
 def test_ceiling_env_not_a_positive_integer_exits_2(monkeypatch, capsys):
-    for value in ("abc", "0", "-5", "1e3"):
+    for value in ("abc", "0", "-5", "1e3", "9" * 5000):
         monkeypatch.setenv("LATINOP_CELL_CEILING", value)
         assert main(["enumerate", "--n", "3", "--d", "2"]) == 2
         err = capsys.readouterr().err
@@ -183,6 +183,20 @@ def assert_refused(argv, capsys):
 def test_huge_header_short_body_refused(tmp_path, capsys):
     # 3^200000 has more digits than int-to-str conversion allows
     assert_refused(["check", write(tmp_path, "f.lhc", "3 200000\n0 1 2\n")], capsys)
+
+
+def test_order_one_huge_arity_header_refused(tmp_path, capsys):
+    # 1^d = 1 cell fits any ceiling; the arity alone must be refused
+    path = write(tmp_path, "f.lhc", "1 3000000\n0\n")
+    assert main(["check", path]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_order_one_huge_arity_refused(capsys):
+    # d = 1000 is past the arity bound yet quick to search without it
+    for sub in ("enumerate", "random"):
+        assert main([sub, "--n", "1", "--d", "1000"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_enumerate_stream_missing_dir_refused(tmp_path, capsys):
