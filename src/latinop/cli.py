@@ -31,7 +31,7 @@ from .formats import emit_lhc, emit_tsv, parse_lhc, parse_tsv
 from .morphisms import automorphisms
 from .operad import SlotPermutation, act, compose_at, verify_operad_axioms
 from .pullback import pullback_compose, restrict
-from .transversal import delta_check, find_transversals
+from .transversal import count_transversals, delta_check, find_transversals
 
 
 def _read_text(path):
@@ -130,10 +130,10 @@ def cmd_random(args):
 
 def cmd_transversals(args):
     f = _load_latin(args.file)
-    found = find_transversals(graph_of(f), limit=args.limit)
     if args.count:
-        print(f"transversals: {len(found)}")
+        print(f"transversals: {count_transversals(graph_of(f), args.limit)}")
         return 0
+    found = find_transversals(graph_of(f), limit=args.limit)
     for k, t in enumerate(found):
         if k:
             print()

@@ -146,6 +146,12 @@ class LatinOp(RawOp):
             )
 
 
+def _check_dimension(n: int, d: int) -> None:
+    check_order(n)
+    if d < 1:
+        raise ValidationError(f"dimension must be >= 1, got {d}")
+
+
 def _check_cell_shapes(cells, n: int, d: int) -> None:
     """Raise ValidationError unless every cell is a (d+1)-tuple of ints
     in [0, n)."""
@@ -198,9 +204,7 @@ class CellSet:
     table: tuple
 
     def __init__(self, n: int, d: int, cells):
-        check_order(n)
-        if d < 1:
-            raise ValidationError(f"dimension must be >= 1, got {d}")
+        _check_dimension(n, d)
         cells = frozenset(map(tuple, cells))
         _check_cell_shapes(cells, n, d)
         table = _cell_table(cells, n, d)
@@ -223,11 +227,11 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
     tuples, out-of-range entries); returns False when the cardinality
     or a slot projection fails.
     """
-    check_order(n)
+    _check_dimension(n, d)
     cells = [tuple(c) for c in cells]
     _check_cell_shapes(cells, n, d)
     try:
-        _cell_table(cells, n, d)
+        _cell_table(set(cells), n, d)  # a repeated cell counts once
     except ValidationError:
         return False
     return True

@@ -7,12 +7,20 @@ a hypercube for the alternating-sum identity to hold.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .core import CellSet, ValidationError, _check_cell_shapes, _trusted
+from .core import (
+    CellSet,
+    ValidationError,
+    _check_cell_shapes,
+    _trusted,
+    cell_ceiling,
+    encode,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transversal:
     """n cells hitting every value exactly once in every slot.
 
@@ -39,7 +47,104 @@ class Transversal:
                 )
 
     def is_contained_in(self, L: CellSet) -> bool:
-        return all(cell in L.cells for cell in self.cells)
+        # a transversal of larger order has a value outside L's carrier
+        n, table = L.n, L.table
+        return self.d == L.d and self.n <= n and all(
+            cell[-1] == table[encode(cell[:-1], n)] for cell in self.cells
+        )
+
+
+def _rows(L: CellSet) -> list:
+    """Per slot-1 value k, the cells (k, x_2..x_d, v) of L in lexicographic
+    order, each paired with its used-mask: one n-bit field per slot
+    2..d+1, value x of slot s+2 at bit s*n + x."""
+    n, d, table = L.n, L.d, L.table
+    args = list(itertools.product(range(n), repeat=d - 1))
+    arg_masks = [sum(1 << (s * n + x) for s, x in enumerate(xs)) for xs in args]
+    shift, width = (d - 1) * n, len(args)
+    return [
+        [
+            (am | 1 << (shift + v), (k, *xs, v))
+            for am, xs, v in zip(arg_masks, args, table[k * width:(k + 1) * width])
+        ]
+        for k in range(n)
+    ]
+
+
+def _partials(rows: list, chosen: list):
+    """Yield the used-mask of every partial transversal of ``rows``, one
+    cell from each row, in lexicographic order; its cells are in
+    ``chosen``, refilled in place.
+
+    Depth-first on an explicit stack of row iterators.  The last row is
+    scanned without descending: each of its fitting cells is a result.
+    """
+    last = len(rows) - 1
+    if last < 0:
+        yield 0
+        return
+    used = [0] * len(rows)
+    its = [None] * len(rows)
+    its[0] = iter(rows[0])
+    k = 0
+    while k >= 0:
+        u = used[k]
+        for mask, cell in its[k]:
+            if u & mask:
+                continue
+            chosen[k] = cell
+            if k == last:
+                yield u | mask
+                continue
+            k += 1
+            used[k] = u | mask
+            its[k] = iter(rows[k])
+            break
+        else:
+            k -= 1
+
+
+def _tail_rows(n: int, d: int, limit: int | None) -> int:
+    """How many of the last rows go into the tail table: none with a
+    limit, so the first results come back at once; else (n-1)//2, fewer
+    while the a-priori bound on the table, falling(n, t)^(d-1) * t cells,
+    exceeds the cell ceiling."""
+    if limit is not None:
+        return 0
+    ceiling = cell_ceiling()
+    t, falling = 0, 1
+    while t < (n - 1) // 2:
+        falling *= n - t
+        if falling ** (d - 1) * (t + 1) > ceiling:
+            break
+        t += 1
+    return t
+
+
+def _joins(L: CellSet, limit: int | None):
+    """Meet in the middle: yield (head, tails) per head that has tails.
+
+    The partial transversals of the last t rows are enumerated once
+    into a table keyed by used-mask, each entry the list of their cell
+    tuples in lexicographic order.  Each partial transversal of the
+    first n - t rows (a head, with used-mask U, its cells in the list
+    ``head`` refilled in place) completes exactly the tails stored at
+    full ^ U.  Heads come in lexicographic order, so head + tail does
+    too.
+    """
+    n, d = L.n, L.d
+    rows = _rows(L)
+    h = n - _tail_rows(n, d, limit)
+    tails = {}
+    tail = [None] * (n - h)
+    for used in _partials(rows[h:], tail):
+        tails.setdefault(used, []).append(tuple(tail))
+    full = (1 << d * n) - 1
+    head = [None] * h
+    for used in _partials(rows[:h], head):
+        entry = tails.get(full ^ used)
+        if entry:
+            yield head, entry
 
 
 def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]:
@@ -47,40 +152,35 @@ def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]
     the first ``limit`` of them when a limit is given.
 
     Canonical means the slot-1 component is the identity: cell k has
-    slot-1 value k.  Backtracking over slot-1 groups with per-slot
-    used-bitmasks.
+    slot-1 value k.  The rows (slot-1 values) are split into heads
+    searched depth-first and a tail table built once; with a limit
+    the tail is empty, so the first results come back at once.
     """
+    if limit is not None and limit <= 0:
+        return []
     n, d = L.n, L.d
-    # one bitfield of n bits per slot 2..d+1, packed into a single int
-    packed = [[] for _ in range(n)]
-    for cell in L.sorted_cells():
-        mask = 0
-        for s in range(d):
-            mask |= 1 << (s * n + cell[s + 1])
-        packed[cell[0]].append((mask, cell))
     out = []
-    chosen = [None] * n
-
-    def search(k, used):
-        if k == n:
-            out.append(_trusted(Transversal, n=n, d=d, cells=tuple(chosen)))
-            return limit is not None and len(out) >= limit
-        for mask, cell in packed[k]:
-            if used & mask:
-                continue
-            chosen[k] = cell
-            if search(k + 1, used | mask):
-                return True
-        return False
-
-    if limit is None or limit > 0:
-        search(0, 0)
+    for head, tails in _joins(L, limit):
+        for tail in tails:
+            out.append(_trusted(Transversal, n=n, d=d, cells=(*head, *tail)))
+            if len(out) == limit:
+                return out
     return out
 
 
-def count_transversals(L: CellSet) -> int:
-    """Number of canonical transversals of L (slot-1 component = identity)."""
-    return len(find_transversals(L))
+def count_transversals(L: CellSet, limit: int | None = None) -> int:
+    """Number of canonical transversals of L (slot-1 component = identity),
+    at most ``limit`` when a limit is given.  Summed over the heads from
+    the lengths of their tail lists; no Transversal is built."""
+    if limit is not None and limit <= 0:
+        return 0
+    total = 0
+    # with a limit the tail is empty and each head adds 1
+    for _, tails in _joins(L, limit):
+        total += len(tails)
+        if total == limit:
+            break
+    return total
 
 
 def alternating_sum(t: tuple, n: int) -> int:
@@ -93,7 +193,7 @@ def alternating_sum(t: tuple, n: int) -> int:
     return total % n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaReport:
     computed: int
     expected: int
@@ -113,10 +213,8 @@ def delta_check(T: Transversal, n: int | None = None) -> DeltaReport:
         n = T.n
     if n != T.n:
         raise ValidationError(f"carrier mismatch: {n} != {T.n}")
-    total = 0
-    for cell in T.cells:  # entries validated at construction
-        total += sum(cell[0::2]) - sum(cell[1::2])
-    computed = total % n
+    cols = list(zip(*T.cells))  # entries validated at construction
+    computed = (sum(map(sum, cols[0::2])) - sum(map(sum, cols[1::2]))) % n
     if T.d % 2 == 1:
         expected = 0
     else:

@@ -146,6 +146,26 @@ def brute_transversals_of_square(n, table):
     return sorted(found)
 
 
+def brute_transversals(n, d, table):
+    """Canonical transversals of an order-n, arity-d table, sorted, by
+    scanning every choice of one permutation per argument slot 2..d:
+    row k takes the cell at arguments (k, p_2[k], .., p_d[k]), and the
+    choice is kept when the n values it reads are distinct."""
+    perms = list(itertools.permutations(range(n)))
+    found = []
+    for choice in itertools.product(perms, repeat=d - 1):
+        cells = []
+        for k in range(n):
+            args = (k,) + tuple(p[k] for p in choice)
+            idx = 0
+            for a in args:
+                idx = idx * n + a
+            cells.append(args + (table[idx],))
+        if len({cell[-1] for cell in cells}) == n:
+            found.append(tuple(cells))
+    return sorted(found)
+
+
 def compose_permutations(p, q):
     """(p after q)(x) = p(q(x)) as value tuples."""
     return tuple(p[q[x]] for x in range(len(p)))

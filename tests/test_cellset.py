@@ -74,6 +74,35 @@ def test_cellset_accepts_exactly_latin_cell_sets(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(cell_sets(), st.data())
+def test_repeated_cells_count_once(case, data):
+    n, d, cells = case
+    cells = sorted(cells)
+    repeats = data.draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else []
+    listed = data.draw(st.permutations(cells + repeats))
+    latin = is_latin_cellset(listed, n, d)
+    assert latin == is_latin_cellset(cells, n, d)
+    if latin:
+        assert CellSet(n, d, listed) == CellSet(n, d, cells)
+    else:
+        with pytest.raises(ValidationError):
+            CellSet(n, d, listed)
+
+
+def test_repeated_cell_example():
+    cells = [(0, 0), (0, 0), (1, 1)]
+    assert is_latin_cellset(cells, 2, 1)
+    assert CellSet(2, 1, cells) == graph_of(LatinOp(2, 1, (0, 1)))
+
+
+def test_dimension_zero_is_malformed():
+    with pytest.raises(ValidationError, match="dimension"):
+        is_latin_cellset([(0,)], 1, 0)
+    with pytest.raises(ValidationError, match="dimension"):
+        CellSet(1, 0, [(0,)])
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(SHAPES),
     st.lists(
@@ -137,6 +166,38 @@ INPUTS = {
 }
 SQUARES = ["add3.lhc", "q4.lhc", "q5.lhc"]
 CUBES = ["c3.lhc", "x2.lhc"]
+# larger inputs for the transversal search, kept apart from INPUTS so
+# that the groups over INPUTS keep their digests
+SEARCH_INPUTS = {
+    "r7.lhc": "7 2\n3 1 5 6 4 0 2\n6 5 1 0 2 4 3\n1 0 2 5 3 6 4\n4 6 3 2 5 1 0\n"
+              "5 4 6 3 0 2 1\n0 2 4 1 6 3 5\n2 3 0 4 1 5 6\n",
+    "z9.lhc": "9 2\n" + "".join(
+        " ".join(str((i + j) % 9) for j in range(9)) + "\n" for i in range(9)
+    ),
+    "r11.lhc": "11 2\n1 2 10 9 7 0 3 5 4 8 6\n0 7 9 4 6 8 2 1 10 5 3\n"
+               "8 10 5 2 1 9 6 7 3 0 4\n2 1 0 10 3 5 8 6 7 4 9\n"
+               "6 8 4 1 5 7 0 2 9 3 10\n7 3 6 0 4 1 10 9 5 2 8\n"
+               "4 0 2 7 10 3 5 8 6 9 1\n9 4 1 3 2 6 7 0 8 10 5\n"
+               "5 6 7 8 9 10 4 3 0 1 2\n3 9 8 5 0 4 1 10 2 6 7\n"
+               "10 5 3 6 8 2 9 4 1 7 0\n",
+    "c5.lhc": "5 3\n" + "".join(
+        " ".join(str((i + 2 * j + k) % 5) for k in range(5)) + "\n"
+        for i in range(5) for j in range(5)
+    ),
+}
+# one transversal file per search input, by name
+TRANSVERSAL_FILES = {
+    "r7.lhc": "0 3 6\n1 5 4\n2 2 2\n3 4 5\n4 6 1\n5 0 0\n6 1 3\n",
+    "z9.lhc": "0 4 4\n1 5 6\n2 3 5\n3 8 2\n4 6 1\n5 7 3\n6 2 8\n7 0 7\n8 1 0\n",
+    "r11.lhc": "0 5 0\n1 7 1\n2 3 2\n3 4 3\n4 8 9\n5 6 10\n6 0 4\n7 10 5\n"
+               "8 1 6\n9 2 8\n10 9 7\n",
+    "c5.lhc": "0 2 2 1\n1 3 1 3\n2 0 0 2\n3 1 4 4\n4 4 3 0\n",
+}
+FILES = {
+    **INPUTS,
+    **SEARCH_INPUTS,
+    **{"t_" + name + ".tsv": text for name, text in TRANSVERSAL_FILES.items()},
+}
 
 
 def command_groups():
@@ -164,17 +225,30 @@ def command_groups():
         "transversals": [["transversals", name] for name in INPUTS],
         "orbits": [["orbits", "--n", "3", "--d", "2"]],
         "autos": [["autos", name] for name in INPUTS],
+        "transversals-search": [["transversals", name] for name in SEARCH_INPUTS],
+        "transversals-count": [
+            ["transversals", name, "--count"] + limit
+            for name in {**INPUTS, **SEARCH_INPUTS}
+            for limit in ([], ["--limit", "3"])
+        ],
+        "transversals-limit": [
+            ["transversals", name, "--limit", "3"] for name in SEARCH_INPUTS
+        ],
+        "delta": [
+            ["delta", name, "--transversal", "t_" + name + ".tsv"]
+            for name in SEARCH_INPUTS
+        ],
     }
 
 
 def cli_digests(tmp_path, capsys):
-    for name, text in INPUTS.items():
+    for name, text in FILES.items():
         (tmp_path / name).write_text(text)
     digests = {}
     for group, commands in command_groups().items():
         h = hashlib.sha256()
         for argv in commands:
-            argv = [str(tmp_path / a) if a in INPUTS else a for a in argv]
+            argv = [str(tmp_path / a) if a in FILES else a for a in argv]
             code = main(argv)
             h.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
         digests[group] = h.hexdigest()
@@ -190,6 +264,11 @@ PINNED = {
     "transversals": "c3ead83ab98fd0176fa1742403f2d83947dee9cd7d5d36b5aa641df1d8d0a773",
     "orbits": "3b6a42844e6054be7d8fe8bc1756b6171123433fd6065e57730c926745f40671",
     "autos": "517ef9d53520e4390e189b7d95c431522cbd0b77d597412690a9bfb0a2164c4b",
+    # computed before the split-row transversal kernel
+    "transversals-search": "23b6bdbbc3f64ec9bb5d031640a5efbdf18e7f8af8b4749c38d18610293d5b04",
+    "transversals-count": "615b30acd1cd8d7e998f6bc980c8d3a8f7a48dc5c3dfb9e89e973f1c60ff8ee6",
+    "transversals-limit": "b0fde906f134777da9472dd618de27a3f16b07da26bc7824b9f4d0b08b3bc17c",
+    "delta": "b77a902719a8244bec8cf76741532a504fa757d5e12d9ac7e779757b47d197e8",
 }
 
 

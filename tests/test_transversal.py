@@ -16,9 +16,10 @@ from latinop import (
     find_transversals,
     graph_of,
 )
-from latinop.enumeration import enumerate_all
+from latinop.cli import main
+from latinop.enumeration import enumerate_all, random_latin
 
-from oracles import brute_transversals_of_square, cyclic_table
+from oracles import brute_transversals, brute_transversals_of_square, cyclic_table
 
 
 def cyclic_square(n):
@@ -53,10 +54,69 @@ def test_canonical_order_and_limit():
     assert find_transversals(cyclic_square(5), limit=0) == []
 
 
+# n <= 6 and d <= 4 where the brute-force scan of (n!)^(d-1) choices
+# stays small; (6, 3) is left out because random_latin(6, 3) runs for
+# minutes
+KERNEL_SHAPES = [(n, d) for d in (1, 2) for n in range(1, 7)] + [
+    (n, d) for d in (3, 4) for n in range(1, 9 - d)
+]
+
+
+def kernel_cases():
+    """Per shape: the cyclic table, a random table, and random paratopes
+    of both (their graphs, with the tables of those graphs)."""
+    rng = random.Random(5)
+    for n, d in KERNEL_SHAPES:
+        for f in (LatinOp(n, d, cyclic_table(n, d)), random_latin(n, d, n + d)):
+            L = graph_of(f)
+            yield n, d, L
+            for _ in range(2):
+                yield n, d, apply_paratopism(Paratopism.random(n, d, rng), L)
+
+
+def test_kernel_matches_any_dimension_brute_force():
+    for n, d, L in kernel_cases():
+        want = brute_transversals(n, d, L.table)
+        found = find_transversals(L)
+        assert [t.cells for t in found] == want, (n, d, L.table)
+        assert count_transversals(L) == len(want)
+        # every limit on small counts, the ends and the quartiles on large ones
+        count = len(want)
+        limits = range(count + 2) if count <= 64 else [
+            0, 1, 2, count // 4, count // 2, 3 * count // 4, count - 1, count,
+            count + 1,
+        ]
+        for limit in limits:
+            assert find_transversals(L, limit=limit) == found[:limit]
+            assert count_transversals(L, limit) == min(count, limit)
+
+
 def test_transversals_live_in_host():
     L = cyclic_square(3)
     for t in find_transversals(L):
         assert t.is_contained_in(L)
+    other = graph_of(LatinOp(3, 2, (0, 2, 1, 2, 1, 0, 1, 0, 2)))
+    assert not all(t.is_contained_in(other) for t in find_transversals(L))
+    # the order and the dimension must fit the host too
+    diagonal = Transversal(3, 1, ((0, 0), (1, 1), (2, 2)))
+    assert diagonal.is_contained_in(graph_of(LatinOp(3, 1, (0, 1, 2))))
+    assert not diagonal.is_contained_in(L)
+    assert not diagonal.is_contained_in(graph_of(LatinOp(2, 1, (0, 1))))
+    assert Transversal(2, 1, ((0, 0), (1, 1))).is_contained_in(
+        graph_of(LatinOp(3, 1, (0, 1, 2)))
+    )
+
+
+def test_limit_search_past_the_recursion_limit(tmp_path, capsys):
+    # order 1001 is deeper than Python's default recursion limit
+    n = 1001
+    path = tmp_path / "z1001.lhc"
+    path.write_text(f"{n} 2\n" + "".join(
+        " ".join(str((i + j) % n) for j in range(n)) + "\n" for i in range(n)
+    ))
+    assert main(["transversals", str(path), "--limit", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == "".join(f"{k} {k} {2 * k % n}\n" for k in range(n))
 
 
 def test_transversal_validation():
