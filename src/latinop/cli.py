@@ -6,7 +6,6 @@ Exit codes: 0 success / affirmative, 1 negative verification result,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -225,8 +224,8 @@ def build_parser():
     parser.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker-pool cap; output is identical for any value",
+        default=None,
+        help="accepted for compatibility; has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -71,6 +72,59 @@ def encode(args, n: int) -> int:
     for a in args:
         idx = idx * n + a
     return idx
+
+
+@dataclass(frozen=True)
+class SlotPermutation:
+    """A bijection of the slots {1..d}, in one-line notation."""
+
+    d: int
+    perm: tuple[int, ...]
+
+    def __post_init__(self):
+        d, perm = self.d, tuple(self.perm)
+        object.__setattr__(self, "perm", perm)
+        if d < 1 or len(perm) != d or sorted(perm) != list(range(1, d + 1)):
+            raise ValidationError(f"{perm} is not a permutation of 1..{d}")
+
+    @classmethod
+    def identity(cls, d: int) -> "SlotPermutation":
+        return cls(d, tuple(range(1, d + 1)))
+
+    def __call__(self, k: int) -> int:
+        return self.perm[k - 1]
+
+    def compose(self, other: "SlotPermutation") -> "SlotPermutation":
+        """self after other: (self.compose(other))(k) = self(other(k))."""
+        if self.d != other.d:
+            raise ValidationError("degree mismatch in permutation composition")
+        return SlotPermutation(self.d, tuple(self(other(k)) for k in range(1, self.d + 1)))
+
+    def inverse(self) -> "SlotPermutation":
+        inv = [0] * self.d
+        for k in range(1, self.d + 1):
+            inv[self(k) - 1] = k
+        return SlotPermutation(self.d, tuple(inv))
+
+
+def _paratope(n: int, d: int, slot_perm, symbol_perms):
+    """The map from an order-n, arity-d Latin table to the table whose
+    graph is the image of its graph under a paratopism: source slot s
+    (1-based; the output is slot d+1) moves to slot slot_perm[s-1], its
+    values relabelled by symbol_perms[s-1].
+
+    An image cell is numbered row-major in X^(d+1): target slot t weighs
+    n^(d+1-t).  The argument slots expand by strides to one number per
+    source cell in table order, and the cell's value adds its own.  A
+    graph lists its cells in table order, so the sorted numbers hold the
+    image table in their last digits.
+    """
+    rows = [[y * n ** (d + 1 - t) for y in p] for t, p in zip(slot_perm, symbol_perms)]
+    cells = [0]
+    for row in rows[:d]:
+        cells = [c + w for c in cells for w in row]
+    value, digit = rows[d].__getitem__, n.__rmod__
+    return lambda table: tuple(map(digit, sorted(map(operator.add, cells, map(value, table)))))
 
 
 @dataclass(frozen=True)
@@ -276,9 +330,5 @@ def conjugate(f: LatinOp, s: int) -> LatinOp:
         raise ValidationError(f"slot {s} out of range 1..{d + 1}")
     if s == d + 1:
         return f
-    table = [0] * (n ** d)
-    for args, v in zip(f.arg_tuples(), f.table):
-        cell = args + (v,)
-        rest = cell[: s - 1] + cell[s:]
-        table[encode(rest, n)] = cell[s - 1]
-    return LatinOp(n, d, tuple(table))
+    slots = (*range(1, s), d + 1, *range(s, d + 1))
+    return LatinOp(n, d, _paratope(n, d, slots, (range(n),) * (d + 1))(f.table))

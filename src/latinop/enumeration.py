@@ -1,5 +1,5 @@
 """Exhaustive and randomized generation of Latin operations, the
-paratopism action on cell sets, min-lex canonical forms, and the orbit
+paratopism action on tables, min-lex canonical forms, and the orbit
 census at desk scale.
 """
 from __future__ import annotations
@@ -8,18 +8,19 @@ import functools
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (
     CeilingError,
     CellSet,
     LatinOp,
+    SlotPermutation,
     ValidationError,
     _check_cells,
+    _check_dimension,
+    _paratope,
     _trusted,
     encode,
-    graph_of,
 )
 
 DEFAULT_GROUP_CEILING = 100_000
@@ -128,7 +129,8 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
 
 @dataclass(frozen=True)
 class Paratopism:
-    """An element of Sym(X)^(d+1) x| Sym_{d+1} acting on cells.
+    """An element of Sym(X)^(d+1) x| Sym_{d+1} acting on Latin tables
+    through their graphs.
 
     slot_perm is 1-based one-line notation on slots; symbol_perms[s] is
     the value bijection applied in source slot s+1.  A cell maps by
@@ -140,24 +142,24 @@ class Paratopism:
     symbol_perms: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "slot_perm", tuple(self.slot_perm))
-        object.__setattr__(
-            self, "symbol_perms", tuple(tuple(p) for p in self.symbol_perms)
-        )
         k = len(self.slot_perm)
-        if sorted(self.slot_perm) != list(range(1, k + 1)):
-            raise ValidationError(f"{self.slot_perm} is not a permutation of 1..{k}")
-        if len(self.symbol_perms) != k:
-            raise ValidationError(
-                f"expected {k} symbol permutations, got {len(self.symbol_perms)}"
-            )
-        for p in self.symbol_perms:
-            if sorted(p) != list(range(len(p))):
-                raise ValidationError(f"{p} is not a permutation of 0..{len(p) - 1}")
+        object.__setattr__(self, "slot_perm", SlotPermutation(k, self.slot_perm).perm)
+        perms = tuple(tuple(p) for p in self.symbol_perms)
+        object.__setattr__(self, "symbol_perms", perms)
+        if len(perms) != k:
+            raise ValidationError(f"expected {k} symbol permutations, got {len(perms)}")
+        _check_dimension(len(perms[0]), self.d)
+        for p in perms:
+            if sorted(p) != list(range(self.n)):
+                raise ValidationError(f"{p} is not a permutation of 0..{self.n - 1}")
 
     @property
     def d(self) -> int:
         return len(self.slot_perm) - 1
+
+    @property
+    def n(self) -> int:
+        return len(self.symbol_perms[0])
 
     @classmethod
     def identity(cls, n: int, d: int) -> "Paratopism":
@@ -174,74 +176,57 @@ class Paratopism:
             perms.append(tuple(p))
         return cls(tuple(slots), tuple(perms))
 
-    def apply_cell(self, cell: tuple) -> tuple:
-        out = [0] * len(cell)
-        for s, x in enumerate(cell):
-            out[self.slot_perm[s] - 1] = self.symbol_perms[s][x]
-        return tuple(out)
-
     def compose(self, other: "Paratopism") -> "Paratopism":
         """self after other, as actions on cells."""
-        if self.d != other.d:
-            raise ValidationError("dimension mismatch in paratopism composition")
-        k = self.d + 2
-        slots = tuple(self.slot_perm[other.slot_perm[s] - 1] for s in range(k - 1))
-        perms = tuple(
-            tuple(
-                self.symbol_perms[other.slot_perm[s] - 1][other.symbol_perms[s][x]]
-                for x in range(len(other.symbol_perms[s]))
-            )
-            for s in range(k - 1)
-        )
-        return Paratopism(slots, perms)
+        if self.n != other.n:
+            raise ValidationError(f"order mismatch: {self.n} != {other.n}")
+        slots = SlotPermutation(self.d + 1, self.slot_perm).compose(
+            SlotPermutation(other.d + 1, other.slot_perm))
+        perms = [tuple(self.symbol_perms[t - 1][x] for x in p)
+                 for t, p in zip(other.slot_perm, other.symbol_perms)]
+        return Paratopism(slots.perm, perms)
 
 
 def apply_paratopism(p: Paratopism, L: CellSet) -> CellSet:
     """Image of a cell set under a paratopism (always a valid cell set)."""
     if p.d != L.d:
         raise ValidationError(f"dimension mismatch: {p.d} != {L.d}")
-    if any(len(sp) != L.n for sp in p.symbol_perms):
+    if p.n != L.n:
         raise ValidationError("symbol permutation order does not match carrier")
-    return CellSet(L.n, L.d, frozenset(p.apply_cell(c) for c in L.cells))
+    table = _paratope(L.n, L.d, p.slot_perm, p.symbol_perms)(L.table)
+    return _trusted(CellSet, n=L.n, d=L.d, table=table)
 
 
 def paratopism_group_order(n: int, d: int) -> int:
     return math.factorial(n) ** (d + 1) * math.factorial(d + 1)
 
 
-def _generators(n: int, d: int):
-    """Adjacent slot and symbol transpositions; generate the full group."""
-    gens = []
-    idn = tuple(range(n))
-    idslots = tuple(range(1, d + 2))
-    for s in range(d):
-        slots = list(idslots)
-        slots[s], slots[s + 1] = slots[s + 1], slots[s]
-        gens.append(Paratopism(tuple(slots), tuple(idn for _ in range(d + 1))))
-    for s in range(d + 1):
-        for v in range(n - 1):
-            sym = list(idn)
-            sym[v], sym[v + 1] = sym[v + 1], sym[v]
-            perms = [idn] * (d + 1)
-            perms[s] = tuple(sym)
-            gens.append(Paratopism(idslots, tuple(perms)))
-    return gens
+def _generators(n: int, d: int) -> list:
+    """Adjacent slot and symbol transpositions, which generate the full
+    group, as (slot_perm, symbol_perms) pairs."""
+    def swap(seq, i):
+        return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
+
+    slots, ids = tuple(range(1, d + 2)), (tuple(range(n)),) * (d + 1)
+    return [(swap(slots, s), ids) for s in range(d)] + [
+        (slots, ids[:s] + (swap(ids[s], v),) + ids[s + 1:])
+        for s in range(d + 1) for v in range(n - 1)
+    ]
 
 
-def _orbit(L: CellSet):
-    """All cell sets in the paratopism orbit of L, as frozensets."""
-    gens = _generators(L.n, L.d)
-    start = L.cells
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cells = queue.popleft()
+def _orbit(n: int, d: int, table) -> set:
+    """All tables in the paratopism orbit of the order-n, arity-d
+    ``table``, by breadth-first search over the generators."""
+    gens = [_paratope(n, d, *g) for g in _generators(n, d)]
+    orbit = {table}
+    queue = [table]
+    for t in queue:  # the queue grows as the search visits it
         for g in gens:
-            image = frozenset(g.apply_cell(c) for c in cells)
-            if image not in seen:
-                seen.add(image)
+            image = g(t)
+            if image not in orbit:
+                orbit.add(image)
                 queue.append(image)
-    return seen
+    return orbit
 
 
 def _check_group_ceiling(n: int, d: int, ceiling: int | None) -> None:
@@ -255,13 +240,14 @@ def _check_group_ceiling(n: int, d: int, ceiling: int | None) -> None:
 
 
 def canonical_form(L: CellSet, ceiling: int | None = None) -> CellSet:
-    """Lexicographically least cell set in the paratopism orbit of L.
+    """Least table in the paratopism orbit of L, equivalently the
+    lexicographically least cell set: the graphs of tables of one (n, d)
+    list their cells over the same argument sequence.
 
     Two hypercubes are paratopic iff their canonical forms coincide.
     """
     _check_group_ceiling(L.n, L.d, ceiling)
-    best = min(_orbit(L), key=sorted)
-    return CellSet(L.n, L.d, best)
+    return _trusted(CellSet, n=L.n, d=L.d, table=min(_orbit(L.n, L.d, L.table)))
 
 
 def orbit_census(n: int, d: int, ceiling: int | None = None,
@@ -274,12 +260,11 @@ def orbit_census(n: int, d: int, ceiling: int | None = None,
     total = 0
     for op in enumerate_all(n, d, cell_ceiling_):
         total += 1
-        L = graph_of(op)
-        if L.cells in seen:
+        if op.table in seen:
             continue
-        orbit = _orbit(L)
+        orbit = _orbit(n, d, op.table)
         seen |= orbit
-        census[CellSet(n, d, min(orbit, key=sorted))] = len(orbit)
+        census[_trusted(CellSet, n=n, d=d, table=min(orbit))] = len(orbit)
     if sum(census.values()) != total:
         raise AssertionError("orbit sizes do not sum to the total count")
     return census

@@ -14,47 +14,12 @@ from .core import (
     CeilingError,
     LatinOp,
     RawOp,
+    SlotPermutation,
     ValidationError,
     _check_cells,
     cell_ceiling,
     is_latin,
 )
-
-
-@dataclass(frozen=True)
-class SlotPermutation:
-    """A bijection of the argument slots {1..d}, in one-line notation."""
-
-    d: int
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        if self.d < 1 or len(self.perm) != self.d or sorted(self.perm) != list(
-            range(1, self.d + 1)
-        ):
-            raise ValidationError(
-                f"{self.perm} is not a permutation of 1..{self.d}"
-            )
-
-    @classmethod
-    def identity(cls, d: int) -> "SlotPermutation":
-        return cls(d, tuple(range(1, d + 1)))
-
-    def __call__(self, k: int) -> int:
-        return self.perm[k - 1]
-
-    def compose(self, other: "SlotPermutation") -> "SlotPermutation":
-        """self after other: (self.compose(other))(k) = self(other(k))."""
-        if self.d != other.d:
-            raise ValidationError("degree mismatch in permutation composition")
-        return SlotPermutation(self.d, tuple(self(other(k)) for k in range(1, self.d + 1)))
-
-    def inverse(self) -> "SlotPermutation":
-        inv = [0] * self.d
-        for k in range(1, self.d + 1):
-            inv[self(k) - 1] = k
-        return SlotPermutation(self.d, tuple(inv))
 
 
 def unit(n: int) -> LatinOp:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from functools import lru_cache
 
 
@@ -169,3 +170,47 @@ def brute_transversals(n, d, table):
 def compose_permutations(p, q):
     """(p after q)(x) = p(q(x)) as value tuples."""
     return tuple(p[q[x]] for x in range(len(p)))
+
+
+def paratope_cells(cells, slot_perm, symbol_perms):
+    """Image of a cell set under a paratopism, cell by cell: the slot-s
+    entry x of a cell (1-based slots) moves to slot slot_perm[s-1] as
+    the value symbol_perms[s-1][x]."""
+    image = set()
+    for cell in cells:
+        out = [0] * len(cell)
+        for s, x in enumerate(cell):
+            out[slot_perm[s] - 1] = symbol_perms[s][x]
+        image.add(tuple(out))
+    return frozenset(image)
+
+
+def paratopism_orbit_cells(n, d, cells):
+    """The paratopism orbit of a cell set, as frozensets of cells, by
+    breadth-first search over the adjacent slot transpositions and the
+    adjacent symbol transpositions in each slot."""
+    ids = list(range(n))
+    slots = list(range(1, d + 2))
+    gens = []
+    for s in range(d):
+        swapped = slots[:]
+        swapped[s], swapped[s + 1] = swapped[s + 1], swapped[s]
+        gens.append((swapped, [ids] * (d + 1)))
+    for s in range(d + 1):
+        for v in range(n - 1):
+            sym = ids[:]
+            sym[v], sym[v + 1] = sym[v + 1], sym[v]
+            perms = [ids] * (d + 1)
+            perms[s] = sym
+            gens.append((slots, perms))
+    start = frozenset(cells)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for slot_perm, symbol_perms in gens:
+            image = paratope_cells(current, slot_perm, symbol_perms)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen

@@ -24,12 +24,15 @@ from latinop import (
     random_latin,
 )
 
+from latinop.enumeration import _orbit
 from oracles import (
     count_by_generate_and_test,
     count_cubes_layered,
     count_squares_rowwise,
     cyclic_table,
     latin_tables_lex,
+    paratope_cells,
+    paratopism_orbit_cells,
 )
 
 
@@ -169,16 +172,66 @@ def test_paratopism_validation():
         Paratopism((1, 1), ((0, 1), (0, 1)))
     with pytest.raises(ValidationError):
         Paratopism((1, 2), ((0, 0), (0, 1)))
+    with pytest.raises(ValidationError):  # symbol permutations of two orders
+        Paratopism((1, 2), ((0, 1), (0, 1, 2)))
+    with pytest.raises(ValidationError):  # dimension -1
+        Paratopism((), ())
+    with pytest.raises(ValidationError):  # dimension 0
+        Paratopism((1,), ((0,),))
+    with pytest.raises(ValidationError):  # order 0
+        Paratopism((1, 2), ((), ()))
+    with pytest.raises(ValidationError):  # an order-3 element after an order-2 one
+        Paratopism((1, 2), ((1, 0, 2), (0, 1, 2))).compose(
+            Paratopism((1, 2), ((0, 1), (0, 1))))
+    with pytest.raises(ValidationError):
+        Paratopism.identity(2, 1).compose(Paratopism.identity(2, 2))
 
 
 def test_canonical_form_idempotent_and_orbit_constant():
     rng = random.Random(9)
-    L = graph_of(LatinOp(3, 2, cyclic_table(3)))
-    canon = canonical_form(L)
-    assert canonical_form(canon) == canon
-    for _ in range(10):
-        p = Paratopism.random(3, 2, rng)
-        assert canonical_form(apply_paratopism(p, L)) == canon
+    cases = [graph_of(LatinOp(3, 2, cyclic_table(3)))] + [
+        graph_of(random_latin(n, d, seed=seed))
+        for n, d in [(4, 2), (3, 3), (2, 4)]
+        for seed in range(3)
+    ]
+    for L in cases:
+        canon = canonical_form(L)
+        assert canonical_form(canon) == canon
+        for _ in range(10):
+            p = Paratopism.random(L.n, L.d, rng)
+            assert canonical_form(apply_paratopism(p, L)) == canon
+
+
+def _table_of(cells):
+    return tuple(cell[-1] for cell in sorted(cells))
+
+
+def test_orbits_and_canonical_forms_match_cell_oracle():
+    # At (4, 2) each orbit's first square and every 12th square are
+    # checked: all 576 take about 12 s on a 2-CPU machine.
+    for n, d in [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
+        oracle = {}  # table -> the oracle's orbit of it, as tables
+        for k, op in enumerate(enumerate_all(n, d)):
+            if op.table not in oracle:
+                cells = graph_of(op).cells
+                orbit = {_table_of(c) for c in paratopism_orbit_cells(n, d, cells)}
+                oracle.update(dict.fromkeys(orbit, orbit))
+            elif (n, d) == (4, 2) and k % 12:
+                continue
+            assert _orbit(n, d, op.table) == oracle[op.table]
+            assert canonical_form(graph_of(op)).table == min(oracle[op.table])
+        assert len(oracle) == count_all(n, d)
+
+
+def test_apply_paratopism_matches_cell_oracle():
+    rng = random.Random(17)
+    for n in range(1, 5):
+        for d in range(1, 5):
+            for seed in range(3):
+                L = graph_of(random_latin(n, d, seed=seed))
+                p = Paratopism.random(n, d, rng)
+                image = paratope_cells(L.cells, p.slot_perm, p.symbol_perms)
+                assert apply_paratopism(p, L).cells == image
 
 
 def test_canonical_form_ceiling():
