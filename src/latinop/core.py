@@ -108,21 +108,25 @@ class SlotPermutation:
 
 
 def _paratope(n: int, d: int, slot_perm, symbol_perms):
-    """The map from an order-n, arity-d Latin table to the table whose
-    graph is the image of its graph under a paratopism: source slot s
+    """The map from an order-n, arity-d table to the table whose graph
+    is the image of its graph under a paratopism: source slot s
     (1-based; the output is slot d+1) moves to slot slot_perm[s-1], its
     values relabelled by symbol_perms[s-1].
 
     An image cell is numbered row-major in X^(d+1): target slot t weighs
     n^(d+1-t).  The argument slots expand by strides to one number per
-    source cell in table order, and the cell's value adds its own.  A
-    graph lists its cells in table order, so the sorted numbers hold the
-    image table in their last digits.
+    source cell in table order.  If the output slot stays, their order is
+    the image order: the map gathers, from any table.  Otherwise the table
+    must be Latin; each value adds its number, and the sorted numbers
+    hold the image table in their last digits.
     """
     rows = [[y * n ** (d + 1 - t) for y in p] for t, p in zip(slot_perm, symbol_perms)]
     cells = [0]
     for row in rows[:d]:
         cells = [c + w for c in cells for w in row]
+    if slot_perm[d] == d + 1:
+        src, value = sorted(range(len(cells)), key=cells.__getitem__), tuple(symbol_perms[d])
+        return lambda table: tuple([value[table[x]] for x in src])
     value, digit = rows[d].__getitem__, n.__rmod__
     return lambda table: tuple(map(digit, sorted(map(operator.add, cells, map(value, table)))))
 
@@ -317,18 +321,22 @@ def function_of(L: CellSet) -> LatinOp:
     return _trusted(LatinOp, n=L.n, d=L.d, table=L.table)
 
 
+def _slot_move(f: RawOp, slot_perm) -> LatinOp:
+    """f with source slot s moved to slot slot_perm[s-1]; a RawOp is Latin-checked."""
+    if not isinstance(f, LatinOp):
+        f = LatinOp(f.n, f.d, f.table)
+    table = _paratope(f.n, f.d, slot_perm, (range(f.n),) * (f.d + 1))(f.table)
+    return _trusted(LatinOp, n=f.n, d=f.d, table=table)
+
+
 def conjugate(f: LatinOp, s: int) -> LatinOp:
     """Re-designate slot s of the graph as the output slot.
 
     The cells of graph_of(f) are reread with slot s moved to the output
     position and the remaining slots kept in increasing order;
-    conjugate(f, d+1) is f itself.  For d=1 and s=1 this is the inverse
-    permutation.
+    conjugate(f, d+1) equals f.  For d=1 and s=1 this is the inverse
+    permutation.  A RawOp is accepted if it is Latin.
     """
-    n, d = f.n, f.d
-    if not 1 <= s <= d + 1:
-        raise ValidationError(f"slot {s} out of range 1..{d + 1}")
-    if s == d + 1:
-        return f
-    slots = (*range(1, s), d + 1, *range(s, d + 1))
-    return LatinOp(n, d, _paratope(n, d, slots, (range(n),) * (d + 1))(f.table))
+    if not 1 <= s <= f.d + 1:
+        raise ValidationError(f"slot {s} out of range 1..{f.d + 1}")
+    return _slot_move(f, (*range(1, s), f.d + 1, *range(s, f.d + 1)))

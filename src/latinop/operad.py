@@ -7,18 +7,20 @@ a left action for the composition (sigma tau)(k) = sigma(tau(k)).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from .core import (
     CeilingError,
     LatinOp,
-    RawOp,
     SlotPermutation,
     ValidationError,
     _check_cells,
+    _non_latin_slot,
+    _paratope,
+    _slot_move,
     cell_ceiling,
-    is_latin,
 )
 
 
@@ -53,25 +55,11 @@ def compose_at(f: LatinOp, g: LatinOp, i: int) -> LatinOp:
     return LatinOp(f.n, f.d + g.d - 1, table)
 
 
-def _act_table(perm, n, d, table):
-    """Raw table of (perm . f): argument k of f, counting from 0, is
-    argument perm[k] of the output, so output slot perm[k] carries the
-    source stride n^(d-1-k); the strides expand to one source index per
-    output cell."""
-    stride = [0] * d
-    for k, p in enumerate(perm):
-        stride[p - 1] = n ** (d - 1 - k)
-    src = [0]
-    for w in stride:
-        src = [x + a * w for x in src for a in range(n)]
-    return tuple([table[x] for x in src])
-
-
 def act(sigma: SlotPermutation, f: LatinOp) -> LatinOp:
     """(sigma . f)(x_1..x_d) = f(x_{sigma(1)}, .., x_{sigma(d)})."""
     if sigma.d != f.d:
         raise ValidationError(f"degree mismatch: {sigma.d} != {f.d}")
-    return LatinOp(f.n, f.d, _act_table(sigma.perm, f.n, f.d, f.table))
+    return _slot_move(f, (*sigma.perm, f.d + 1))
 
 
 def compose_perm_at(sigma: SlotPermutation, tau: SlotPermutation, i: int) -> SlotPermutation:
@@ -199,7 +187,7 @@ def verify_operad_axioms(
             for i in range(1, f.d + 1):
                 closure.checks += 1
                 tab = comp[x, y, i] = _compose_table(n, f.d, f.table, g.d, g.table, i)
-                if not is_latin(RawOp(n, f.d + g.d - 1, tab)):
+                if _non_latin_slot(n, f.d + g.d - 1, tab):
                     closure.fail(f"f={f.table} g={g.table} i={i}")
     report.results.append(closure)
 
@@ -244,6 +232,10 @@ def verify_operad_axioms(
             unit_ax.fail(f"f={f.table} (left unit)")
     report.results.append(unit_ax)
 
+    @functools.cache  # each permutation's gather, built once per verification
+    def act_map(perm):
+        return _paratope(n, len(perm), (*perm, len(perm) + 1), (range(n),) * (len(perm) + 1))
+
     equi = AxiomResult("equivariance")
     for x, f in enumerate(allops):
         d = f.d
@@ -252,23 +244,23 @@ def verify_operad_axioms(
             e = g.d
             taus = [SlotPermutation(e, p) for p in itertools.permutations(range(1, e + 1))]
             for sigma in sigmas:
-                sf = _act_table(sigma.perm, n, d, f.table)
+                sf = act_map(sigma.perm)(f.table)
                 inv = sigma.inverse()
                 for k in range(1, d + 1):
                     # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
                     equi.checks += 1
                     lhs = _compose_table(n, d, sf, e, g.table, k)
                     pi = block_permutation(sigma, k, e)
-                    if lhs != _act_table(pi.perm, n, d + e - 1, comp[x, y, inv(k)]):
+                    if lhs != act_map(pi.perm)(comp[x, y, inv(k)]):
                         equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}")
             for tau in taus:
-                tg = _act_table(tau.perm, n, e, g.table)
+                tg = act_map(tau.perm)(g.table)
                 for i in range(1, d + 1):
                     # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g)
                     equi.checks += 1
                     lhs = _compose_table(n, d, f.table, e, tg, i)
                     pi = embed_permutation(tau, i, d)
-                    if lhs != _act_table(pi.perm, n, d + e - 1, comp[x, y, i]):
+                    if lhs != act_map(pi.perm)(comp[x, y, i]):
                         equi.fail(f"inner f={f.table} g={g.table} tau={tau.perm} i={i}")
     report.results.append(equi)
     return report

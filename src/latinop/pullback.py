@@ -1,10 +1,10 @@
-"""Composition realized on cell sets as a relational join, plus the
-coordinate-fixing restriction.  Both serve as independent oracles for
-the table-level operations in :mod:`latinop.operad`.
+"""Composition realized on cell sets as a relational join, an independent
+oracle for the table-level composition in :mod:`latinop.operad`, and the
+coordinate-fixing restriction, a slot move by the paratopism kernel.
 """
 from __future__ import annotations
 
-from .core import CellSet, ValidationError, _check_cells
+from .core import CellSet, ValidationError, _check_cells, _slot_move, _trusted, function_of
 
 
 def projection_tau(t: tuple, s: int) -> tuple:
@@ -55,7 +55,7 @@ def restrict(L: CellSet, s: int, c: int) -> CellSet:
         raise ValidationError(f"slot {s} out of range 1..{L.d + 1}")
     if not 0 <= c < L.n:
         raise ValidationError(f"symbol {c} out of range [0, {L.n})")
-    cells = frozenset(
-        cell[: s - 1] + cell[s:] for cell in L.cells if cell[s - 1] == c
-    )
-    return CellSet(L.n, L.d - 1, cells)
+    # with slot s moved to slot 1, the slice is the image's c-th layer
+    image = _slot_move(function_of(L), (*range(2, s + 1), 1, *range(s + 1, L.d + 2))).table
+    size = L.n ** (L.d - 1)
+    return _trusted(CellSet, n=L.n, d=L.d - 1, table=image[c * size:(c + 1) * size])

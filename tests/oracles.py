@@ -185,6 +185,12 @@ def paratope_cells(cells, slot_perm, symbol_perms):
     return frozenset(image)
 
 
+def restrict_cells(cells, s, c):
+    """The cells whose slot-s entry (1-based) is c, with that slot
+    deleted."""
+    return frozenset(cell[:s - 1] + cell[s:] for cell in cells if cell[s - 1] == c)
+
+
 def paratopism_orbit_cells(n, d, cells):
     """The paratopism orbit of a cell set, as frozensets of cells, by
     breadth-first search over the adjacent slot transpositions and the

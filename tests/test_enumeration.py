@@ -230,8 +230,13 @@ def test_apply_paratopism_matches_cell_oracle():
             for seed in range(3):
                 L = graph_of(random_latin(n, d, seed=seed))
                 p = Paratopism.random(n, d, rng)
-                image = paratope_cells(L.cells, p.slot_perm, p.symbol_perms)
-                assert apply_paratopism(p, L).cells == image
+                # and one that fixes the output slot, which the kernel gathers
+                slots = list(range(1, d + 1))
+                rng.shuffle(slots)
+                q = Paratopism((*slots, d + 1), Paratopism.random(n, d, rng).symbol_perms)
+                for r in (p, q):
+                    image = paratope_cells(L.cells, r.slot_perm, r.symbol_perms)
+                    assert apply_paratopism(r, L).cells == image
 
 
 def test_canonical_form_ceiling():

@@ -23,9 +23,10 @@ from latinop import (
 )
 from latinop import operad
 from latinop.enumeration import enumerate_all, random_latin
-from latinop.operad import AxiomResult, _act_table, _compose_table
+from latinop.core import _paratope
+from latinop.operad import AxiomResult, _compose_table
 
-from oracles import compose_permutations, cyclic_table
+from oracles import compose_permutations, cyclic_table, table_is_latin
 
 
 def test_degree1_composition_is_permutation_composition():
@@ -86,13 +87,14 @@ def test_compose_unit_laws_all_ops():
 
 
 def test_table_kernels_match_pointwise_definition():
-    # raw tables need not be Latin: the kernels only reindex
+    # raw tables need not be Latin: the kernels only reindex (the
+    # paratopism kernel gathers when the output slot stays)
     rng = random.Random(0)
     for n in range(1, 5):
         for d in range(1, 4):
             f = RawOp(n, d, tuple(rng.randrange(n) for _ in range(n ** d)))
             for perm in itertools.permutations(range(1, d + 1)):
-                got = _act_table(perm, n, d, f.table)
+                got = _paratope(n, d, (*perm, d + 1), (range(n),) * (d + 1))(f.table)
                 for idx, xs in enumerate(itertools.product(range(n), repeat=d)):
                     assert got[idx] == f(*(xs[p - 1] for p in perm))
             for e in range(1, 4):
@@ -103,6 +105,28 @@ def test_table_kernels_match_pointwise_definition():
                     for idx, xs in enumerate(points):
                         inner = g(*xs[i - 1:i - 1 + e])
                         assert got[idx] == f(*xs[:i - 1], inner, *xs[i - 1 + e:])
+
+
+def test_conjugate_and_act_verify_raw_input():
+    # moving the output slot assumes a Latin graph, so a non-Latin RawOp
+    # must be refused, not mapped to some Latin table
+    for n, d in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        sigmas = [SlotPermutation(d, p) for p in itertools.permutations(range(1, d + 1))]
+        for table in itertools.product(range(n), repeat=n ** d):
+            f = RawOp(n, d, table)
+            if table_is_latin(n, d, table):
+                latin = LatinOp(n, d, table)
+                for s in range(1, d + 2):
+                    assert conjugate(f, s) == conjugate(latin, s)
+                for sigma in sigmas:
+                    assert act(sigma, f) == act(sigma, latin)
+                continue
+            for s in range(1, d + 2):
+                with pytest.raises(ValidationError, match="not Latin"):
+                    conjugate(f, s)
+            for sigma in sigmas:
+                with pytest.raises(ValidationError, match="not Latin"):
+                    act(sigma, f)
 
 
 def test_compose_errors():
@@ -262,7 +286,7 @@ def test_verifier_reports_flipped_composites(monkeypatch):
 
 
 def test_verifier_reports_act_ignoring_permutation(monkeypatch):
-    monkeypatch.setattr(operad, "_act_table", lambda perm, n, d, table: tuple(table))
+    monkeypatch.setattr(operad, "_paratope", lambda n, d, slots, symbols: tuple)
     report = verify_operad_axioms(3, 2)
     assert {r.axiom: r.witness for r in report.results if not r.passed} == {
         "equivariance": "outer f=(0, 1, 2, 1, 2, 0, 2, 0, 1) g=(0, 2, 1) sigma=(2, 1) k=1"

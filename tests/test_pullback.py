@@ -19,7 +19,7 @@ from latinop import (
 )
 from latinop.enumeration import enumerate_all
 
-from oracles import cyclic_table
+from oracles import cyclic_table, restrict_cells
 
 
 def test_projection_tau_examples():
@@ -85,6 +85,16 @@ def test_restrict_all_cubes_all_slots():
             for c in range(3):
                 got = restrict(L, s, c)
                 assert is_latin_cellset(got.cells, 3, 2)
+
+
+def test_restrict_matches_cell_oracle():
+    shapes = ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (2, 5))
+    for n, d in shapes:
+        for f in enumerate_all(n, d):
+            L = graph_of(f)
+            for s in range(1, d + 2):
+                for c in range(n):
+                    assert restrict(L, s, c).cells == restrict_cells(L.cells, s, c)
 
 
 def test_restrict_rejects_dimension_one():
