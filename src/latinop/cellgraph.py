@@ -31,7 +31,6 @@ class GraphStats:
 
 def hypercube_graph(L: CellSet) -> HypercubeGraph:
     vertices = L.sorted_cells()
-    index = {cell: i for i, cell in enumerate(vertices)}
     n, d = L.n, L.d
     shared = {}
     for s in range(d + 1):

@@ -14,6 +14,7 @@ from .core import (
     CeilingError,
     LatinOp,
     ValidationError,
+    _latin,
     conjugate,
     function_of,
     graph_of,
@@ -27,7 +28,7 @@ from .enumeration import (
     random_latin,
 )
 from .formats import emit_lhc, emit_tsv, parse_lhc, parse_tsv
-from .morphisms import automorphisms
+from .morphisms import DEFAULT_AUTO_CEILING, automorphisms
 from .operad import SlotPermutation, act, compose_at, verify_operad_axioms
 from .pullback import pullback_compose, restrict
 from .transversal import count_transversals, delta_check, find_transversals
@@ -55,7 +56,7 @@ def _load_raw(path):
 def _load_latin(path) -> LatinOp:
     raw = _load_raw(path)
     try:
-        return LatinOp(raw.n, raw.d, raw.table)
+        return _latin(raw)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -310,7 +311,7 @@ def build_parser():
 
     p = sub.add_parser("autos", help="automorphisms of an operation")
     p.add_argument("file")
-    p.add_argument("--ceiling", type=int, default=8)
+    p.add_argument("--ceiling", type=int, default=DEFAULT_AUTO_CEILING)
     p.set_defaults(func=cmd_autos)
 
     p = sub.add_parser("pullback-compose", help="composition via the cell-set join")

@@ -24,9 +24,12 @@ class CeilingError(RuntimeError):
     """A configurable resource ceiling would be exceeded."""
 
 
-def check_order(n: int) -> None:
+def _check_shape(n: int, d: int, word: str = "arity") -> None:
+    """Raise ValidationError unless n >= 1 and d (named ``word``) >= 1."""
     if n < 1:
         raise ValidationError(f"carrier order must be >= 1, got {n}")
+    if d < 1:
+        raise ValidationError(f"{word} must be >= 1, got {d}")
 
 
 def cell_ceiling() -> int:
@@ -47,9 +50,7 @@ def cell_ceiling() -> int:
 def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
     """n ** d, the cell count of an order-n, arity-d table, after
     checking it against the ceiling (LATINOP_CELL_CEILING by default)."""
-    check_order(n)
-    if d < 1:
-        raise ValidationError(f"arity must be >= 1, got {d}")
+    _check_shape(n, d)
     if ceiling is None:
         ceiling = cell_ceiling()
     # n^d >= 2^(d * (bit_length(n) - 1)): a huge claim is refused before
@@ -143,9 +144,7 @@ class RawOp:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        check_order(self.n)
-        if self.d < 1:
-            raise ValidationError(f"arity must be >= 1, got {self.d}")
+        _check_shape(self.n, self.d)
         object.__setattr__(self, "table", tuple(self.table))
         expected = self.n ** self.d
         if len(self.table) != expected:
@@ -204,10 +203,9 @@ class LatinOp(RawOp):
             )
 
 
-def _check_dimension(n: int, d: int) -> None:
-    check_order(n)
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+def _latin(f: RawOp) -> LatinOp:
+    """f as a LatinOp: a LatinOp as it is, any other table Latin-checked."""
+    return f if isinstance(f, LatinOp) else LatinOp(f.n, f.d, f.table)
 
 
 def _check_cell_shapes(cells, n: int, d: int) -> None:
@@ -262,7 +260,7 @@ class CellSet:
     table: tuple
 
     def __init__(self, n: int, d: int, cells):
-        _check_dimension(n, d)
+        _check_shape(n, d, "dimension")
         cells = frozenset(map(tuple, cells))
         _check_cell_shapes(cells, n, d)
         table = _cell_table(cells, n, d)
@@ -285,7 +283,7 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
     tuples, out-of-range entries); returns False when the cardinality
     or a slot projection fails.
     """
-    _check_dimension(n, d)
+    _check_shape(n, d, "dimension")
     cells = [tuple(c) for c in cells]
     _check_cell_shapes(cells, n, d)
     try:
@@ -323,8 +321,7 @@ def function_of(L: CellSet) -> LatinOp:
 
 def _slot_move(f: RawOp, slot_perm) -> LatinOp:
     """f with source slot s moved to slot slot_perm[s-1]; a RawOp is Latin-checked."""
-    if not isinstance(f, LatinOp):
-        f = LatinOp(f.n, f.d, f.table)
+    f = _latin(f)
     table = _paratope(f.n, f.d, slot_perm, (range(f.n),) * (f.d + 1))(f.table)
     return _trusted(LatinOp, n=f.n, d=f.d, table=table)
 

@@ -17,7 +17,7 @@ from .core import (
     SlotPermutation,
     ValidationError,
     _check_cells,
-    _check_dimension,
+    _check_shape,
     _paratope,
     _trusted,
     encode,
@@ -124,7 +124,7 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
         rng.shuffle(order)
         return order
 
-    return LatinOp(n, d, next(_search(n, d, value_order)))
+    return _trusted(LatinOp, n=n, d=d, table=tuple(next(_search(n, d, value_order))))
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class Paratopism:
         object.__setattr__(self, "symbol_perms", perms)
         if len(perms) != k:
             raise ValidationError(f"expected {k} symbol permutations, got {len(perms)}")
-        _check_dimension(len(perms[0]), self.d)
+        _check_shape(len(perms[0]), self.d, "dimension")
         for p in perms:
             if sorted(p) != list(range(self.n)):
                 raise ValidationError(f"{p} is not a permutation of 0..{self.n - 1}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .core import RawOp, ValidationError, _check_cells
+from .core import RawOp, ValidationError, _check_cells, _trusted
 from .transversal import Transversal
 
 _TOKEN = re.compile(r"\S+")
@@ -37,6 +37,15 @@ def _int_token(tok):
         ) from None
 
 
+def _symbol(tok, n):
+    """The value of an integer token, which must lie in [0, n)."""
+    v = _int_token(tok)
+    if not 0 <= v < n:
+        _, line, col = tok
+        raise FormatError(f"line {line}, column {col}: symbol {v} out of range [0, {n})")
+    return v
+
+
 def parse_lhc(text: str) -> RawOp:
     """Parse one .lhc record into a RawOp (Latin property not required)."""
     toks = _tokens(text)
@@ -60,16 +69,9 @@ def parse_lhc(text: str) -> RawOp:
             f"line {line}, column {col}: trailing token {text_!r} "
             f"(expected exactly {expected} symbols)"
         )
-    table = []
-    for tok in body:
-        v = _int_token(tok)
-        if not 0 <= v < n:
-            _, line, col = tok
-            raise FormatError(
-                f"line {line}, column {col}: symbol {v} out of range [0, {n})"
-            )
-        table.append(v)
-    return RawOp(n, d, tuple(table))
+    # every RawOp invariant is checked above, with a position
+    table = tuple([_symbol(tok, n) for tok in body])
+    return _trusted(RawOp, n=n, d=d, table=table)
 
 
 def emit_lhc(op: RawOp) -> str:
@@ -101,16 +103,7 @@ def parse_tsv(text: str, n: int, d: int) -> Transversal:
             raise FormatError(
                 f"line {lineno}: expected {d + 1} entries, got {len(toks)}"
             )
-        cell = []
-        for tok in toks:
-            v = _int_token(tok)
-            if not 0 <= v < n:
-                _, line_, col = tok
-                raise FormatError(
-                    f"line {line_}, column {col}: symbol {v} out of range [0, {n})"
-                )
-            cell.append(v)
-        cells.append(tuple(cell))
+        cells.append(tuple([_symbol(tok, n) for tok in toks]))
     return Transversal(n, d, tuple(cells))
 
 

@@ -17,9 +17,11 @@ from .core import (
     SlotPermutation,
     ValidationError,
     _check_cells,
+    _latin,
     _non_latin_slot,
     _paratope,
     _slot_move,
+    _trusted,
     cell_ceiling,
 )
 
@@ -45,14 +47,16 @@ def _compose_table(n, d, ftab, e, gtab, i):
 
 
 def compose_at(f: LatinOp, g: LatinOp, i: int) -> LatinOp:
-    """The substitution composition f o_i g, of degree d + e - 1."""
+    """The substitution composition f o_i g, of degree d + e - 1: Latin
+    by closure, so only a RawOp operand is checked, and the result is not."""
     if f.n != g.n:
         raise ValidationError(f"carrier mismatch: {f.n} != {g.n}")
     if not 1 <= i <= f.d:
         raise ValidationError(f"slot {i} out of range 1..{f.d}")
     _check_cells(f.n, f.d + g.d - 1)
+    f, g = _latin(f), _latin(g)
     table = _compose_table(f.n, f.d, f.table, g.d, g.table, i)
-    return LatinOp(f.n, f.d + g.d - 1, table)
+    return _trusted(LatinOp, n=f.n, d=f.d + g.d - 1, table=table)
 
 
 def act(sigma: SlotPermutation, f: LatinOp) -> LatinOp:

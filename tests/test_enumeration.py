@@ -134,6 +134,10 @@ def test_random_latin_deterministic_and_latin():
     for seed in range(200):
         assert is_latin(random_latin(5, 2, seed=seed))
     assert random_latin(1, 3).table == (0,)
+    # built without a second scan, it is the op the constructor builds
+    for n, d, seed in ((5, 2, 7), (3, 3, 1), (4, 3, 2), (2, 4, 3), (1, 3, 0)):
+        op = random_latin(n, d, seed)
+        assert op == LatinOp(n, d, random_latin(n, d, seed).table)
 
 
 def test_paratopism_identity_acts_trivially():

@@ -42,6 +42,9 @@ def test_parse_addition_table():
 def test_parse_accepts_non_latin():
     op = parse_lhc("2 2\n0 1\n0 1\n")
     assert isinstance(op, RawOp)
+    # built without a second scan, it is the op the constructor builds
+    assert op == RawOp(2, 2, (0, 1, 0, 1))
+    assert hash(op) == hash(RawOp(2, 2, (0, 1, 0, 1)))
     from latinop import is_latin
 
     assert not is_latin(op)

@@ -109,9 +109,11 @@ def test_table_kernels_match_pointwise_definition():
 
 def test_conjugate_and_act_verify_raw_input():
     # moving the output slot assumes a Latin graph, so a non-Latin RawOp
-    # must be refused, not mapped to some Latin table
+    # must be refused, not mapped to some Latin table; compose_at trusts
+    # its composite, so it must refuse a non-Latin operand on either side
     for n, d in ((2, 1), (3, 1), (2, 2), (3, 2)):
         sigmas = [SlotPermutation(d, p) for p in itertools.permutations(range(1, d + 1))]
+        h = LatinOp(n, 2, cyclic_table(n))
         for table in itertools.product(range(n), repeat=n ** d):
             f = RawOp(n, d, table)
             if table_is_latin(n, d, table):
@@ -120,6 +122,12 @@ def test_conjugate_and_act_verify_raw_input():
                     assert conjugate(f, s) == conjugate(latin, s)
                 for sigma in sigmas:
                     assert act(sigma, f) == act(sigma, latin)
+                for i in range(1, d + 1):
+                    assert compose_at(f, h, i) == compose_at(latin, h, i)
+                for i in (1, 2):
+                    got = compose_at(h, f, i)
+                    assert got == compose_at(h, latin, i)
+                    assert table_is_latin(n, d + 1, got.table)
                 continue
             for s in range(1, d + 2):
                 with pytest.raises(ValidationError, match="not Latin"):
@@ -127,6 +135,12 @@ def test_conjugate_and_act_verify_raw_input():
             for sigma in sigmas:
                 with pytest.raises(ValidationError, match="not Latin"):
                     act(sigma, f)
+            for i in range(1, d + 1):
+                with pytest.raises(ValidationError, match="not Latin"):
+                    compose_at(f, h, i)
+            for i in (1, 2):
+                with pytest.raises(ValidationError, match="not Latin"):
+                    compose_at(h, f, i)
 
 
 def test_compose_errors():
