@@ -197,15 +197,22 @@ class LatinOp(RawOp):
 
     def __post_init__(self):
         super().__post_init__()
-        if not is_latin(self):
-            raise ValidationError(
-                f"table is not Latin (order {self.n}, arity {self.d})"
-            )
+        _check_latin(self.n, self.d, self.table)
+
+
+def _check_latin(n: int, d: int, table) -> None:
+    """Raise ValidationError unless the in-range ``table`` is Latin."""
+    if _non_latin_slot(n, d, table):
+        raise ValidationError(f"table is not Latin (order {n}, arity {d})")
 
 
 def _latin(f: RawOp) -> LatinOp:
-    """f as a LatinOp: a LatinOp as it is, any other table Latin-checked."""
-    return f if isinstance(f, LatinOp) else LatinOp(f.n, f.d, f.table)
+    """f as a LatinOp: a LatinOp as it is; any other RawOp, whose ranges
+    its constructor or parse_lhc checked, only Latin-scanned."""
+    if isinstance(f, LatinOp):
+        return f
+    _check_latin(f.n, f.d, f.table)
+    return _trusted(LatinOp, n=f.n, d=f.d, table=f.table)
 
 
 def _check_cell_shapes(cells, n: int, d: int) -> None:

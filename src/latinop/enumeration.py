@@ -38,17 +38,32 @@ def _line_geometry(n: int, d: int) -> tuple:
     )
 
 
-def _search(n: int, d: int, value_order=None):
-    """Yield every Latin table of order n and arity d: in lexicographic
-    order, or trying the values of each cell m in the order
-    value_order(m) gives, which is called once per entry into the cell.
+@functools.cache
+def _reduced_masks(n: int, d: int) -> tuple:
+    """Per cell, in table order, the bitmask of values a reduced table
+    may hold there: on the axis lines through the origin (cells x * e_k)
+    only x, elsewhere any value."""
+    full = (1 << n) - 1
+    return tuple(
+        1 << sum(cell) if len(cell) - cell.count(0) <= 1 else full
+        for cell in itertools.product(range(n), repeat=d)
+    )
+
+
+def _search(n: int, d: int, value_order=None, allowed=None):
+    """Yield every Latin table of order n and arity d whose cell m holds
+    a value of the bitmask allowed[m] (any value when allowed is None):
+    in lexicographic order, or trying the values of each cell m in the
+    order value_order(m) gives, which is called once per entry into the
+    cell.
 
     Depth-first over the cells in table order on an explicit stack, with
     one bitmask of used values per line.  Only the first n^d - n^(d-1)
     cells are searched.  Each of the first n-1 slot-1 layers is then
     Latin along every other slot, so the values missing from the slot-1
-    lines form a Latin last layer, filled in without search.  The same
-    list is yielded every time, refilled in place.
+    lines form a Latin last layer, filled in without search; allowed
+    must admit those values.  The same list is yielded every time,
+    refilled in place.
     """
     line_of = _line_geometry(n, d)
     width = n ** (d - 1)
@@ -58,10 +73,14 @@ def _search(n: int, d: int, value_order=None):
         yield table
         return
     full = (1 << n) - 1
+    if allowed is None:
+        allowed = (full,) * free
     masks = [0] * (d * width)
     rest = [None] * free  # per searched cell below m: candidates not tried
     m = 0  # avail holds the untried candidates of cell m
-    avail = full if value_order is None else value_order(0)[::-1]
+    avail = allowed[0]
+    if value_order is not None:
+        avail = [v for v in value_order(0)[::-1] if avail >> v & 1]
     while True:
         if avail:
             if value_order is None:
@@ -80,7 +99,7 @@ def _search(n: int, d: int, value_order=None):
                 used = 0
                 for i in line_of[m]:
                     used |= masks[i]
-                avail = full ^ used
+                avail = allowed[m] & ~used
                 if value_order is not None:
                     avail = [v for v in value_order(m)[::-1] if avail >> v & 1]
                 continue
@@ -106,9 +125,17 @@ def enumerate_all(n: int, d: int, ceiling: int | None = None):
 
 
 def count_all(n: int, d: int, ceiling: int | None = None) -> int:
-    """Number of Latin d-ary operations of order n."""
+    """Number of Latin d-ary operations of order n.
+
+    Counted over reduced tables, with L(x * e_k) = x on every axis line
+    through the origin.  Relabelling the symbols and the arguments of
+    slots 2..d with 0 fixed, a group of order n! * ((n-1)!)^(d-1), takes
+    each table to exactly one reduced table and acts freely, so the
+    count is that order times the number of reduced tables.
+    """
     _check_cells(n, d, ceiling)
-    return sum(1 for _ in _search(n, d))
+    reduced = sum(1 for _ in _search(n, d, allowed=_reduced_masks(n, d)))
+    return math.factorial(n) * math.factorial(n - 1) ** (d - 1) * reduced
 
 
 def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> LatinOp:

@@ -7,6 +7,7 @@ a hypercube for the alternating-sum identity to hold.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,13 +55,20 @@ class Transversal:
         )
 
 
+@functools.cache
+def _arg_geometry(n: int, d: int) -> tuple:
+    """The argument tuples (x_2..x_d) in lexicographic order and their
+    used-masks: value x of slot s+2 at bit s*n + x."""
+    args = tuple(itertools.product(range(n), repeat=d - 1))
+    return args, tuple(sum(1 << (s * n + x) for s, x in enumerate(xs)) for xs in args)
+
+
 def _rows(L: CellSet) -> list:
     """Per slot-1 value k, the cells (k, x_2..x_d, v) of L in lexicographic
     order, each paired with its used-mask: one n-bit field per slot
     2..d+1, value x of slot s+2 at bit s*n + x."""
     n, d, table = L.n, L.d, L.table
-    args = list(itertools.product(range(n), repeat=d - 1))
-    arg_masks = [sum(1 << (s * n + x) for s, x in enumerate(xs)) for xs in args]
+    args, arg_masks = _arg_geometry(n, d)
     shift, width = (d - 1) * n, len(args)
     return [
         [
@@ -203,6 +211,12 @@ class DeltaReport:
         return self.computed == self.expected
 
 
+@functools.cache
+def _delta_report(computed: int, expected: int) -> DeltaReport:
+    """One shared report per value pair: a frozen report needs no copy."""
+    return DeltaReport(computed=computed, expected=expected)
+
+
 def delta_check(T: Transversal, n: int | None = None) -> DeltaReport:
     """Alternating-sum identity over Z/n for a transversal.
 
@@ -219,4 +233,4 @@ def delta_check(T: Transversal, n: int | None = None) -> DeltaReport:
         expected = 0
     else:
         expected = 0 if n % 2 == 1 else n // 2
-    return DeltaReport(computed=computed, expected=expected)
+    return _delta_report(computed, expected)

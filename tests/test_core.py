@@ -13,6 +13,7 @@ from latinop import (
     is_latin,
     is_latin_cellset,
 )
+from latinop.core import _latin
 from latinop.enumeration import enumerate_all
 
 from oracles import cyclic_table, table_is_latin
@@ -51,6 +52,23 @@ def test_rawop_validation_names_offending_index():
 def test_latinop_rejects_non_latin():
     with pytest.raises(ValidationError, match="not Latin"):
         LatinOp(2, 2, (0, 1, 0, 1))
+
+
+def test_latin_check_of_raw_op_matches_constructor():
+    # _latin scans a RawOp for the Latin property only: same result, same message
+    for n, d in [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)]:
+        for table in itertools.product(range(n), repeat=n ** d):
+            raw = RawOp(n, d, table)
+            try:
+                expected = LatinOp(n, d, table)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    _latin(raw)
+                assert str(info.value) == str(exc)
+            else:
+                op = _latin(raw)
+                assert type(op) is LatinOp and op == expected
+                assert hash(op) == hash(expected)
 
 
 def test_graph_of_identity():

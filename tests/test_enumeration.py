@@ -24,7 +24,7 @@ from latinop import (
     random_latin,
 )
 
-from latinop.enumeration import _orbit
+from latinop.enumeration import _orbit, _reduced_masks, _search
 from oracles import (
     count_by_generate_and_test,
     count_cubes_layered,
@@ -66,6 +66,35 @@ def test_square_counts_against_rowwise_oracle():
 def test_cube_count_against_layered_oracle():
     assert count_all(3, 3) == count_cubes_layered(3)
     assert count_all(2, 3) == count_cubes_layered(2)
+
+
+# every shape whose count tier-1 checks, plus (3,4) and (4,3)
+COUNTED_SHAPES = sorted(
+    {(n, 1) for n in range(1, 9)} | {(2, d) for d in range(1, 7)}
+    | {(1, 3), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (3, 4), (4, 3), (3, 7)}
+)
+
+
+def test_reduced_count_equals_plain_kernel_leaf_count():
+    # count_all searches reduced tables only; enumerate_all visits every table
+    for n, d in COUNTED_SHAPES:
+        assert count_all(n, d) == sum(1 for _ in enumerate_all(n, d)), (n, d)
+
+
+def test_reduced_search_finds_exactly_the_reduced_tables():
+    # reduced: L(x * e_k) = x on every axis line through the origin
+    for n, d in [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)]:
+        axis = [(x * n ** (d - 1 - k), x) for k in range(d) for x in range(n)]
+        plain = [op.table for op in enumerate_all(n, d)
+                 if all(op.table[i] == x for i, x in axis)]
+        pinned = [tuple(t) for t in _search(n, d, allowed=_reduced_masks(n, d))]
+        assert pinned == plain, (n, d)
+
+
+def test_published_counts():
+    assert count_all(6, 2) == 812_851_200  # L(6), OEIS A002860
+    # McKay and Wanless, "A census of small Latin hypercubes" (2008)
+    assert count_all(4, 4) == 36_972_288
 
 
 def test_enumerate_emits_latin_unique_lexicographic():

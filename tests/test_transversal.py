@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from latinop import (
+    DeltaReport,
     LatinOp,
     Paratopism,
     Transversal,
@@ -151,6 +152,16 @@ def test_delta_expected_values():
         4, 2, tuple((k, k, k) for k in range(4))
     )
     assert delta_check(even_d_even_n).expected == 2
+
+
+def test_delta_reports_are_shared_values():
+    t = Transversal(4, 2, tuple((k, k, k) for k in range(4)))
+    u = find_transversals(cyclic_square(5))[3]
+    first, again = delta_check(t), delta_check(Transversal(4, 2, t.cells))
+    assert first is again and first.passed
+    assert repr(first) == "DeltaReport(computed=2, expected=2)"
+    assert delta_check(u) == DeltaReport(computed=0, expected=0)
+    assert delta_check(u) != first
 
 
 def test_delta_holds_for_all_transversals_in_squares():
