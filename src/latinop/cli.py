@@ -6,6 +6,7 @@ Exit codes: 0 success / affirmative, 1 negative verification result,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import __version__
@@ -27,7 +28,7 @@ from .enumeration import (
     orbit_census,
     random_latin,
 )
-from .formats import emit_lhc, emit_tsv, parse_lhc, parse_tsv
+from .formats import _separated, emit_lhc, emit_tsv, parse_lhc, parse_tsv
 from .morphisms import DEFAULT_AUTO_CEILING, automorphisms
 from .operad import SlotPermutation, act, compose_at, verify_operad_axioms
 from .pullback import pullback_compose, restrict
@@ -42,7 +43,10 @@ def _read_text(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _open_output(path):
+def _output(path):
+    """A context holding stdout for "-", left open, else the file at path."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
@@ -107,18 +111,11 @@ def cmd_enumerate(args):
     if args.stream is None:
         print(count_all(args.n, args.d, args.cell_ceiling))
         return 0
-    out = sys.stdout if args.stream == "-" else _open_output(args.stream)
-    try:
-        first = True
-        for op in enumerate_all(args.n, args.d, args.cell_ceiling):
-            if not first:
-                out.write("\n")
-            out.write(emit_lhc(op))
+    ops = enumerate_all(args.n, args.d, args.cell_ceiling)  # lazy: checked after out opens
+    with _output(args.stream) as out:
+        for record in _separated(map(emit_lhc, ops)):
+            out.write(record)
             out.flush()
-            first = False
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -134,10 +131,7 @@ def cmd_transversals(args):
         print(f"transversals: {count_transversals(graph_of(f), args.limit)}")
         return 0
     found = find_transversals(graph_of(f), limit=args.limit)
-    for k, t in enumerate(found):
-        if k:
-            print()
-        sys.stdout.write(emit_tsv(t))
+    sys.stdout.writelines(_separated(map(emit_tsv, found)))
     print(f"transversals: {len(found)}", file=sys.stderr)
     return 0
 
@@ -173,13 +167,8 @@ def cmd_graph(args):
     f = _load_latin(args.file)
     L = graph_of(f)
     if args.edges is not None:
-        lines = "\n".join(edge_list_lines(L))
-        if args.edges == "-":
-            if lines:
-                print(lines)
-        else:
-            with _open_output(args.edges) as fh:
-                fh.write(lines + ("\n" if lines else ""))
+        with _output(args.edges) as out:
+            out.writelines(line + "\n" for line in edge_list_lines(L))
         return 0
     stats = graph_stats(L)
     print(f"vertices: {stats.vertices}")

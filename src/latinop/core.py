@@ -67,6 +67,16 @@ def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
     return n ** d
 
 
+def _check_composable(f, g, i: int) -> None:
+    """Raise unless g substitutes into slot i of f: the carriers match,
+    the slot is in range and the composite fits under the cell ceiling."""
+    if f.n != g.n:
+        raise ValidationError(f"carrier mismatch: {f.n} != {g.n}")
+    if not 1 <= i <= f.d:
+        raise ValidationError(f"slot {i} out of range 1..{f.d}")
+    _check_cells(f.n, f.d + g.d - 1)
+
+
 def encode(args, n: int) -> int:
     """Row-major table index of an argument tuple (last argument fastest)."""
     idx = 0

@@ -281,6 +281,7 @@ def orbit_census(n: int, d: int, ceiling: int | None = None,
                  cell_ceiling_: int | None = None) -> dict:
     """Partition all Latin operations of order n, arity d into
     paratopism classes: canonical form -> orbit size."""
+    _check_shape(n, d)  # the group order takes factorials of n and d + 1
     _check_group_ceiling(n, d, ceiling)
     census = {}
     seen = set()

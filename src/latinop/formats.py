@@ -9,6 +9,7 @@ separated by a blank line.  .tsv holds n lines, each a (d+1)-tuple.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 
 from .core import RawOp, ValidationError, _check_cells, _trusted
@@ -88,17 +89,22 @@ def parse_lhcs(text: str) -> list:
     return [parse_lhc(r) for r in records]
 
 
+def _separated(records):
+    """The record texts, each after the first led by a blank line: the
+    layout of an .lhcs stream and of a list of transversals."""
+    for k, record in enumerate(records):
+        yield "\n" + record if k else record
+
+
 def emit_lhcs(ops) -> str:
-    return "\n".join(emit_lhc(op) for op in ops)
+    return "".join(_separated(map(emit_lhc, ops)))
 
 
 def parse_tsv(text: str, n: int, d: int) -> Transversal:
     """Parse a transversal file: n lines, each a (d+1)-tuple."""
     cells = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        toks = [(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
+    for lineno, toks in itertools.groupby(_tokens(text), operator.itemgetter(1)):
+        toks = list(toks)
         if len(toks) != d + 1:
             raise FormatError(
                 f"line {lineno}: expected {d + 1} entries, got {len(toks)}"

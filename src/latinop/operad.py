@@ -17,6 +17,7 @@ from .core import (
     SlotPermutation,
     ValidationError,
     _check_cells,
+    _check_composable,
     _latin,
     _non_latin_slot,
     _paratope,
@@ -49,11 +50,7 @@ def _compose_table(n, d, ftab, e, gtab, i):
 def compose_at(f: LatinOp, g: LatinOp, i: int) -> LatinOp:
     """The substitution composition f o_i g, of degree d + e - 1: Latin
     by closure, so only a RawOp operand is checked, and the result is not."""
-    if f.n != g.n:
-        raise ValidationError(f"carrier mismatch: {f.n} != {g.n}")
-    if not 1 <= i <= f.d:
-        raise ValidationError(f"slot {i} out of range 1..{f.d}")
-    _check_cells(f.n, f.d + g.d - 1)
+    _check_composable(f, g, i)
     f, g = _latin(f), _latin(g)
     table = _compose_table(f.n, f.d, f.table, g.d, g.table, i)
     return _trusted(LatinOp, n=f.n, d=f.d + g.d - 1, table=table)
@@ -70,24 +67,17 @@ def compose_perm_at(sigma: SlotPermutation, tau: SlotPermutation, i: int) -> Slo
     """Substitution composition of slot permutations (associative operad).
 
     The letter i of sigma expands to the run i..i+e-1, permuted within
-    the run by tau; letters above i shift up by e-1.
+    the run by tau; letters above i shift up by e-1, letters below stay.
     """
     d, e = sigma.d, tau.d
     if not 1 <= i <= d:
         raise ValidationError(f"slot {i} out of range 1..{d}")
-    j0 = sigma.perm.index(i) + 1
-
-    def relabel(v):
-        return v if v < i else v + e - 1
-
     out = []
-    for k in range(1, d + e):
-        if k < j0:
-            out.append(relabel(sigma(k)))
-        elif k < j0 + e:
-            out.append(i - 1 + tau(k - j0 + 1))
+    for v in sigma.perm:
+        if v == i:
+            out.extend(i - 1 + t for t in tau.perm)
         else:
-            out.append(relabel(sigma(k - e + 1)))
+            out.append(v if v < i else v + e - 1)
     return SlotPermutation(d + e - 1, tuple(out))
 
 
@@ -142,17 +132,11 @@ def _pools(n, max_degree, sample_budget, seed):
     pools = {}
     exhaustive = {}
     for deg in range(1, max_degree + 1):
-        ops = []
-        full = True
-        for op in enumerate_all(n, deg):
-            ops.append(op)
-            if len(ops) > sample_budget:
-                full = False
-                break
-        if not full:
+        ops = list(itertools.islice(enumerate_all(n, deg), sample_budget + 1))
+        exhaustive[deg] = len(ops) <= sample_budget
+        if not exhaustive[deg]:
             ops = [random_latin(n, deg, seed + 7919 * k) for k in range(sample_budget)]
         pools[deg] = ops
-        exhaustive[deg] = full
     return pools, exhaustive
 
 
@@ -166,8 +150,12 @@ def verify_operad_axioms(
     of that size otherwise.  Axioms checked: closure of o_i, sequential
     and parallel associativity, unit laws, and slot-permutation
     equivariance (outer and inner).  Failures are reported with a
-    witness, not raised.
+    witness, not raised.  Both max_degree and sample_budget must be >= 1.
     """
+    for name, value in (("max_degree", max_degree), ("sample_budget", sample_budget)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+    _check_cells(n, 2 * max_degree - 1)  # the largest pool composite
     pools, exhaustive = _pools(n, max_degree, sample_budget, seed)
     report = OperadReport(n=n, max_degree=max_degree, exhaustive=exhaustive)
     allops = [op for deg in sorted(pools) for op in pools[deg]]
@@ -240,14 +228,16 @@ def verify_operad_axioms(
     def act_map(perm):
         return _paratope(n, len(perm), (*perm, len(perm) + 1), (range(n),) * (len(perm) + 1))
 
+    perms = {
+        deg: [SlotPermutation(deg, p) for p in itertools.permutations(range(1, deg + 1))]
+        for deg in pools
+    }
     equi = AxiomResult("equivariance")
     for x, f in enumerate(allops):
         d = f.d
-        sigmas = [SlotPermutation(d, p) for p in itertools.permutations(range(1, d + 1))]
         for y, g in enumerate(allops):
             e = g.d
-            taus = [SlotPermutation(e, p) for p in itertools.permutations(range(1, e + 1))]
-            for sigma in sigmas:
+            for sigma in perms[d]:
                 sf = act_map(sigma.perm)(f.table)
                 inv = sigma.inverse()
                 for k in range(1, d + 1):
@@ -257,7 +247,7 @@ def verify_operad_axioms(
                     pi = block_permutation(sigma, k, e)
                     if lhs != act_map(pi.perm)(comp[x, y, inv(k)]):
                         equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}")
-            for tau in taus:
+            for tau in perms[e]:
                 tg = act_map(tau.perm)(g.table)
                 for i in range(1, d + 1):
                     # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g)

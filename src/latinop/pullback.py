@@ -4,7 +4,7 @@ coordinate-fixing restriction, a slot move by the paratopism kernel.
 """
 from __future__ import annotations
 
-from .core import CellSet, ValidationError, _check_cells, _slot_move, _trusted, function_of
+from .core import CellSet, ValidationError, _check_composable, _slot_move, _trusted, function_of
 
 
 def projection_tau(t: tuple, s: int) -> tuple:
@@ -22,11 +22,7 @@ def pullback_compose(L: CellSet, M: CellSet, i: int) -> CellSet:
     z is unique per result cell (asserted).  Equals the graph of the
     table-level composition at slot i.
     """
-    if L.n != M.n:
-        raise ValidationError(f"carrier mismatch: {L.n} != {M.n}")
-    if not 1 <= i <= L.d:
-        raise ValidationError(f"slot {i} out of range 1..{L.d}")
-    _check_cells(L.n, L.d + M.d - 1)
+    _check_composable(L, M, i)
     # bucket M by its output (last-slot) value
     buckets = [[] for _ in range(M.n)]
     for m in M.cells:

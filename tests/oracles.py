@@ -172,6 +172,30 @@ def compose_permutations(p, q):
     return tuple(p[q[x]] for x in range(len(p)))
 
 
+def compose_slot_permutations(sigma, tau, i):
+    """Substitution composition of slot permutations in one-line
+    notation (1-based), by position: the position j0 of letter i in
+    sigma opens a run of len(tau) positions holding i-1+tau, and every
+    other letter of sigma is relabelled past the run."""
+    d, e = len(sigma), len(tau)
+    if not 1 <= i <= d:
+        raise ValueError(f"slot {i} out of range 1..{d}")
+    j0 = sigma.index(i) + 1
+
+    def relabel(v):
+        return v if v < i else v + e - 1
+
+    out = []
+    for k in range(1, d + e):
+        if k < j0:
+            out.append(relabel(sigma[k - 1]))
+        elif k < j0 + e:
+            out.append(i - 1 + tau[k - j0])
+        else:
+            out.append(relabel(sigma[k - e]))
+    return tuple(out)
+
+
 def paratope_cells(cells, slot_perm, symbol_perms):
     """Image of a cell set under a paratopism, cell by cell: the slot-s
     entry x of a cell (1-based slots) moves to slot slot_perm[s-1] as

@@ -3,8 +3,9 @@
 
 Arbitrary ``.lhc`` and ``.tsv`` text is written to files and fed to the
 file-reading subcommands together with ``--slot``, ``--value``,
-``--perm`` and ``--limit`` fragments.  argparse's own ``SystemExit(2)``
-counts as exit 2.
+``--perm`` and ``--limit`` fragments.  The subcommands that read no file
+get small, negative and malformed shapes, budgets and ceilings.
+argparse's own ``SystemExit(2)`` counts as exit 2.
 """
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -103,6 +104,43 @@ def test_cli_exit_codes_on_arbitrary_files(tmp_path, capsys, sub, shape, data):
             argv += [opt, "-"]
         else:
             argv.append(opt)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+
+
+def numbers(lo, hi):
+    """The integers lo..hi and the malformed numbers argparse refuses."""
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(["x", "", "1e9"]))
+
+
+ceilings = st.one_of(numbers(-2, 0), st.sampled_from(["1", "8", "27", "100000"]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["enumerate", "random", "orbits", "verify-operad"]), st.data())
+def test_cli_exit_codes_without_input_files(capsys, sub, data):
+    # shapes stay at n, d <= 3 and max-degree <= 2, so every run is short
+    argv = [sub, "--n", data.draw(numbers(-1, 3))]
+    if sub == "verify-operad":
+        argv += ["--max-degree", data.draw(numbers(-1, 2)),
+                 "--budget", str(data.draw(st.integers(-2, 5)))]
+    else:
+        argv += ["--d", data.draw(numbers(-1, 3))]
+    if sub == "enumerate":
+        argv += data.draw(st.sampled_from([[], ["--count"], ["--stream", "-"]]))
+    if sub != "verify-operad" and data.draw(st.booleans()):
+        argv += ["--cell-ceiling", data.draw(ceilings)]
+    if sub == "orbits" and data.draw(st.booleans()):
+        argv += ["--group-ceiling", data.draw(ceilings)]
+    if sub in ("random", "verify-operad") and data.draw(st.booleans()):
+        argv += ["--seed", data.draw(numbers(-1, 3))]
+    if data.draw(st.booleans()):
+        argv = ["--jobs", data.draw(numbers(-1, 3))] + argv
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the argv

@@ -16,6 +16,7 @@ from latinop.cli import main
 from latinop.enumeration import enumerate_all
 
 from oracles import cyclic_table
+from test_cellset import FILES
 
 ADD3 = "3 2\n0 1 2\n1 2 0\n2 0 1\n"
 
@@ -92,10 +93,26 @@ def test_tsv_round_trip():
 
 
 def test_tsv_errors():
-    with pytest.raises(FormatError, match="expected 3 entries"):
-        parse_tsv("0 0\n1 1\n2 2\n", 3, 2)
-    with pytest.raises(FormatError, match="out of range"):
-        parse_tsv("0 0 9\n1 1 1\n2 2 2\n", 3, 2)
+    cases = {
+        "0 0\n1 1\n2 2\n": "line 1: expected 3 entries, got 2",
+        "0 0 9\n1 1 1\n2 2 2\n": "line 1, column 5: symbol 9 out of range [0, 3)",
+        "\n0 0 0\n\n1 1\n2 2 2\n": "line 4: expected 3 entries, got 2",
+        "0 0 0 0\n1 1 1\n2 2 2\n": "line 1: expected 3 entries, got 4",
+        "1 1\n0 x 0\n": "line 1: expected 3 entries, got 2",
+        "0 x 0\n1 1\n": "line 1, column 3: expected an integer, got 'x'",
+        "0 0 0\n\n  1 x 1\n": "line 3, column 5: expected an integer, got 'x'",
+        "   \n\t\n0 0 1.5\n": "line 3, column 5: expected an integer, got '1.5'",
+        "\n\n0 0 0\n1\t 1  7\n": "line 4, column 7: symbol 7 out of range [0, 3)",
+        "0 0 0\n1 1 -1\n": "line 2, column 5: symbol -1 out of range [0, 3)",
+        "0 0 0\r\n\r\n1 1\r\n": "line 3: expected 3 entries, got 2",
+    }
+    for text, message in cases.items():
+        with pytest.raises(FormatError) as info:
+            parse_tsv(text, 3, 2)
+        assert str(info.value) == message
+    # blank lines, however many and wherever, hold no cell
+    t = parse_tsv("\n0 0 0\n\n1 1 1\n  \n2 2 2\n\n", 3, 2)
+    assert t.cells == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
 
 # ---------------------------------------------------------------- CLI
@@ -279,6 +296,13 @@ def test_orbits_cli(capsys):
     assert "total: 576" in out
 
 
+def test_orbits_bad_shape_exits_2(capsys):
+    # the shape is checked before the group order, which takes factorials
+    for n, d in [(-1, 0), (3, -2), (10, 0), (0, 2)]:
+        assert main(["orbits", "--n", str(n), "--d", str(d)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_graph_cli_stats(tmp_path, capsys):
     path = write(tmp_path, "f.lhc", ADD3)
     assert main(["graph", path, "--stats"]) == 0
@@ -334,3 +358,19 @@ def test_seeded_runs_byte_identical(capsys):
                      "--budget", "1", "--seed", "3"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_output_file_matches_stdout(tmp_path, capsys):
+    """--edges OUT and --stream OUT write the bytes that "-" prints."""
+    inputs = {name: text for name, text in FILES.items() if name.endswith(".lhc")}
+    inputs["one.lhc"] = "1 1\n0\n"  # order 1: one cell, no edges
+    runs = [["graph", write(tmp_path, name, text), "--edges"] for name, text in inputs.items()]
+    runs += [["enumerate", "--n", str(n), "--d", str(d), "--stream"]
+             for n in (1, 2, 3) for d in (1, 2, 3)]
+    out = tmp_path / "out"
+    for argv in runs:
+        assert main(argv + ["-"]) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + [str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()

@@ -26,7 +26,12 @@ from latinop.enumeration import enumerate_all, random_latin
 from latinop.core import _paratope
 from latinop.operad import AxiomResult, _compose_table
 
-from oracles import compose_permutations, cyclic_table, table_is_latin
+from oracles import (
+    compose_permutations,
+    compose_slot_permutations,
+    cyclic_table,
+    table_is_latin,
+)
 
 
 def test_degree1_composition_is_permutation_composition():
@@ -250,6 +255,22 @@ def test_compose_perm_at_matches_block_and_embed():
         assert combined == staged
 
 
+def test_compose_perm_at_matches_positional_oracle():
+    for d, e in itertools.product(range(1, 5), repeat=2):
+        for sigma_p in itertools.permutations(range(1, d + 1)):
+            sigma = SlotPermutation(d, sigma_p)
+            for tau_p in itertools.permutations(range(1, e + 1)):
+                tau = SlotPermutation(e, tau_p)
+                for i in range(1, d + 1):
+                    got = compose_perm_at(sigma, tau, i)
+                    assert got.perm == compose_slot_permutations(sigma_p, tau_p, i)
+                for i in (0, d + 1):
+                    with pytest.raises(ValidationError, match=f"slot {i} out of range 1..{d}"):
+                        compose_perm_at(sigma, tau, i)
+                    with pytest.raises(ValueError, match=f"slot {i} out of range 1..{d}"):
+                        compose_slot_permutations(sigma_p, tau_p, i)
+
+
 def test_verify_operad_axioms_exhaustive():
     for n, max_degree in [(2, 3), (3, 2)]:
         report = verify_operad_axioms(n, max_degree)
@@ -320,6 +341,21 @@ def test_composite_ceilings(monkeypatch):
         verify_operad_axioms(3, 1)
     monkeypatch.setenv("LATINOP_CELL_CEILING", "108")
     assert verify_operad_axioms(3, 1).ok
+
+
+def test_verifier_refuses_an_empty_verification():
+    for max_degree, budget in [(0, 200), (-1, 200), (2, 0), (2, -2), (0, 0)]:
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            verify_operad_axioms(3, max_degree, sample_budget=budget)
+
+
+def test_verifier_checks_its_largest_composite_first():
+    # order 1 has one table per arity; the largest composite, of arity
+    # 2 * 13 - 1 = 25, is refused before any pool is built
+    with pytest.raises(CeilingError, match="arity 25 exceeds the bit length"):
+        verify_operad_axioms(1, 13)
+    with pytest.raises(CeilingError, match=r"n\^d = 2\^25"):
+        verify_operad_axioms(2, 13)
 
 
 def test_closure_exhaustive_small_orders():
