@@ -1,17 +1,18 @@
 """The shared-coordinate graph of a Latin hypercube.
 
 Vertices are the cells in lexicographic order; two distinct cells are
-adjacent when they agree in at least one coordinate slot.  The cell-set
-invariants force distinct cells to agree on at most d-1 slots (agreement
-on d slots would make them equal); this is asserted during construction.
-For d <= 2 the graph is regular of degree (d+1)(n^(d-1) - 1); for d >= 3
-slot classes of a cell can overlap, so degrees are computed, not assumed.
+adjacent when they agree in at least one coordinate slot.  Any d slots
+of a cell determine it, so distinct cells agree on at most d-1 slots
+(asserted during construction), and n^(d-k) cells agree with a given
+cell on any k <= d chosen slots.  By inclusion-exclusion over the slots
+every cell has the same degree, a function of (n, d) alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .core import CellSet
+from .core import CeilingError, CellSet, cell_ceiling
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,9 @@ class GraphStats:
 
 
 def hypercube_graph(L: CellSet) -> HypercubeGraph:
+    edges, ceiling = graph_stats(L).edges, cell_ceiling()
+    if edges > ceiling:
+        raise CeilingError(f"{edges} graph edges exceed the ceiling of {ceiling}")
     vertices = L.sorted_cells()
     n, d = L.n, L.d
     shared = {}
@@ -51,27 +55,15 @@ def hypercube_graph(L: CellSet) -> HypercubeGraph:
 
 
 def graph_stats(L: CellSet) -> GraphStats:
-    g = hypercube_graph(L)
-    degrees = [0] * len(g.vertices)
-    for i, j in g.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    hist = {}
-    for deg in degrees:
-        hist[deg] = hist.get(deg, 0) + 1
-    regular = len(hist) == 1
-    return GraphStats(
-        vertices=len(g.vertices),
-        edges=len(g.edges),
-        degree_histogram=tuple(sorted(hist.items())),
-        is_regular=regular,
-        degree=degrees[0] if regular and degrees else None,
-    )
+    """The statistics of the regular graph, from (n, d) alone."""
+    n, d, vertices = L.n, L.d, len(L.table)
+    degree = sum((-1) ** (k + 1) * math.comb(d + 1, k) * n ** (d - k) for k in range(1, d + 1))
+    degree += (-1) ** d - 1  # the k = d+1 term, less the cell itself
+    return GraphStats(vertices, vertices * degree // 2, ((degree, vertices),), True, degree)
 
 
 def edge_list_lines(L: CellSet):
     """Edge list export: one "u v" pair per line, vertices as cell
-    indices in lexicographic order."""
+    indices in lexicographic order; the graph is built (or refused) now."""
     g = hypercube_graph(L)
-    for i, j in g.edges:
-        yield f"{i} {j}"
+    return (f"{i} {j}" for i, j in g.edges)

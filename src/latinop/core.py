@@ -171,6 +171,9 @@ class RawOp:
     def __call__(self, *args: int) -> int:
         if len(args) != self.d:
             raise ValidationError(f"expected {self.d} arguments, got {len(args)}")
+        for k, a in enumerate(args, 1):
+            if not isinstance(a, int) or not 0 <= a < self.n:
+                raise ValidationError(f"argument {k} out of range [0, {self.n}): {a!r}")
         return self.table[encode(args, self.n)]
 
     def arg_tuples(self):

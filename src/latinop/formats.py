@@ -49,10 +49,15 @@ def _symbol(tok, n):
 
 def parse_lhc(text: str) -> RawOp:
     """Parse one .lhc record into a RawOp (Latin property not required)."""
-    toks = _tokens(text)
+    return _record(_tokens(text))
+
+
+def _record(toks) -> RawOp:
+    """The RawOp of one .lhc record, from an iterator of its positioned tokens."""
     header = list(itertools.islice(toks, 2))
     if len(header) < 2:
-        raise FormatError("line 1, column 1: missing 'n d' header")
+        line, col = header[0][1:] if header else (1, 1)
+        raise FormatError(f"line {line}, column {col}: missing 'n d' header")
     n = _int_token(header[0])
     d = _int_token(header[1])
     if n < 1 or d < 1:
@@ -84,9 +89,14 @@ def emit_lhc(op: RawOp) -> str:
 
 
 def parse_lhcs(text: str) -> list:
-    """Parse a .lhcs stream: blank-line separated .lhc records."""
-    records = [r for r in re.split(r"\n\s*\n", text) if r.strip()]
-    return [parse_lhc(r) for r in records]
+    """Parse a .lhcs stream: .lhc records, each ended by a line with no token."""
+    records, last = [], -1
+    for tok in _tokens(text):
+        if tok[1] > last + 1:  # a line with no token lies between
+            records.append([])
+        records[-1].append(tok)
+        last = tok[1]
+    return [_record(iter(r)) for r in records]
 
 
 def _separated(records):

@@ -1,10 +1,11 @@
 """Composition realized on cell sets as a relational join, an independent
 oracle for the table-level composition in :mod:`latinop.operad`, and the
-coordinate-fixing restriction, a slot move by the paratopism kernel.
+coordinate-fixing restriction, the substitution of a constant.
 """
 from __future__ import annotations
 
-from .core import CellSet, ValidationError, _check_composable, _slot_move, _trusted, function_of
+from .core import CellSet, ValidationError, _check_composable, _trusted, conjugate, function_of
+from .operad import _compose_table
 
 
 def projection_tau(t: tuple, s: int) -> tuple:
@@ -44,6 +45,7 @@ def restrict(L: CellSet, s: int, c: int) -> CellSet:
     """Fix coordinate s to the value c and delete that slot.
 
     Only defined for d >= 2: the result is a hypercube of dimension d-1.
+    It substitutes the constant c, a one-entry table of arity 0, into slot s.
     """
     if L.d < 2:
         raise ValidationError("restriction needs dimension >= 2")
@@ -51,7 +53,8 @@ def restrict(L: CellSet, s: int, c: int) -> CellSet:
         raise ValidationError(f"slot {s} out of range 1..{L.d + 1}")
     if not 0 <= c < L.n:
         raise ValidationError(f"symbol {c} out of range [0, {L.n})")
-    # with slot s moved to slot 1, the slice is the image's c-th layer
-    image = _slot_move(function_of(L), (*range(2, s + 1), 1, *range(s + 1, L.d + 2))).table
-    size = L.n ** (L.d - 1)
-    return _trusted(CellSet, n=L.n, d=L.d - 1, table=image[c * size:(c + 1) * size])
+    f = function_of(L)
+    if s == L.d + 1:  # the output slot becomes argument slot d
+        f, s = conjugate(f, L.d), L.d
+    table = _compose_table(L.n, L.d, f.table, 0, (c,), s)
+    return _trusted(CellSet, n=L.n, d=L.d - 1, table=table)

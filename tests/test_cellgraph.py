@@ -1,8 +1,10 @@
+import collections
+
 import pytest
 
-from latinop import LatinOp, graph_of, graph_stats, hypercube_graph, unit
+from latinop import CeilingError, GraphStats, LatinOp, graph_of, graph_stats, hypercube_graph, unit
 from latinop.cellgraph import edge_list_lines
-from latinop.enumeration import enumerate_all
+from latinop.enumeration import enumerate_all, random_latin
 
 from oracles import cyclic_table, max_shared_coordinates, pairwise_degrees
 
@@ -29,8 +31,8 @@ def test_order3_square_stats():
 
 
 def test_degree_closed_form_squares():
-    # (d+1)(n^(d-1) - 1) holds at d <= 2; beyond that slot classes of a
-    # cell can overlap and the computed degrees are authoritative
+    # at d = 2 the inclusion-exclusion degree is 3n - 3 + 1 - 1 = 3(n - 1);
+    # test_stats_match_pairwise_oracle checks it at d >= 3
     for n in (2, 3, 4):
         stats = graph_stats(graph_of(LatinOp(n, 2, cyclic_table(n))))
         assert stats.is_regular and stats.degree == 3 * (n - 1)
@@ -82,3 +84,41 @@ def test_vertices_are_lexicographic_cells():
     L = graph_of(LatinOp(3, 2, cyclic_table(3)))
     g = hypercube_graph(L)
     assert g.vertices == tuple(sorted(L.cells))
+
+
+def oracle_stats(cells):
+    """Graph statistics from the pairwise degree scan."""
+    degrees = pairwise_degrees(cells)
+    hist = tuple(sorted(collections.Counter(degrees).items()))
+    regular = len(hist) == 1
+    return GraphStats(
+        vertices=len(degrees),
+        edges=sum(degrees) // 2,
+        degree_histogram=hist,
+        is_regular=regular,
+        degree=degrees[0] if regular else None,
+    )
+
+
+def test_stats_match_pairwise_oracle():
+    # the statistics come from (n, d) alone; the pair scan is the reference
+    shapes = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+              (3, 1), (3, 2), (3, 3), (4, 2)]
+    ops = [f for shape in shapes for f in enumerate_all(*shape)]
+    ops += [random_latin(n, d, seed)
+            for n, d in ((4, 3), (5, 3), (3, 4), (2, 6)) for seed in range(3)]
+    for f in ops:
+        L = graph_of(f)
+        assert graph_stats(L) == oracle_stats(L.cells), (f.n, f.d, f.table)
+
+
+def test_edge_list_refused_over_the_ceiling(monkeypatch):
+    L = graph_of(LatinOp(4, 2, cyclic_table(4)))
+    edges = graph_stats(L).edges  # 16 * 9 / 2 = 72
+    monkeypatch.setenv("LATINOP_CELL_CEILING", str(edges - 1))
+    with pytest.raises(CeilingError, match=f"{edges} graph edges exceed the ceiling of {edges - 1}"):
+        hypercube_graph(L)
+    with pytest.raises(CeilingError):
+        edge_list_lines(L)  # refused at the call, before any line is read
+    monkeypatch.setenv("LATINOP_CELL_CEILING", str(edges))
+    assert len(hypercube_graph(L).edges) == edges == 72

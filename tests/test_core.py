@@ -49,6 +49,20 @@ def test_rawop_validation_names_offending_index():
         RawOp(2, 2, (0, 1, 5, 0))
 
 
+@pytest.mark.parametrize("n, d", [(3, 2), (2, 3)])
+def test_call_checks_each_argument(n, d):
+    f = RawOp(n, d, cyclic_table(n, d=d))
+    for k in range(d):
+        for bad in (n, n + 2, -1, -n, 1.0, "0", None):
+            args = [0] * d
+            args[k] = bad
+            with pytest.raises(ValidationError) as err:
+                f(*args)
+            assert str(err.value) == f"argument {k + 1} out of range [0, {n}): {bad!r}"
+    for args in itertools.product(range(n), repeat=d):
+        assert f(*args) == sum(args) % n
+
+
 def test_latinop_rejects_non_latin():
     with pytest.raises(ValidationError, match="not Latin"):
         LatinOp(2, 2, (0, 1, 0, 1))

@@ -74,8 +74,11 @@ def test_parse_error_positions():
         parse_lhc("2 1\n0 1 0\n")
     with pytest.raises(FormatError, match="end of input"):
         parse_lhc("3 2\n0 1 2\n")
-    with pytest.raises(FormatError, match="header"):
+    with pytest.raises(FormatError, match="^line 1, column 1: missing 'n d' header$"):
         parse_lhc("")
+    # a lone token is the header's first: the error names its position
+    with pytest.raises(FormatError, match="^line 3, column 2: missing 'n d' header$"):
+        parse_lhc("\n\n 5\n")
 
 
 def test_lhcs_stream_round_trip():
@@ -83,6 +86,41 @@ def test_lhcs_stream_round_trip():
     text = emit_lhcs(ops)
     parsed = parse_lhcs(text)
     assert [p.table for p in parsed] == [op.table for op in ops]
+
+
+def lhcs_error(text):
+    with pytest.raises(FormatError) as err:
+        parse_lhcs(text)
+    return str(err.value)
+
+
+def test_lhcs_errors_name_stream_positions():
+    # positions count lines of the whole stream, not of the record
+    assert lhcs_error("2 1\n0 1\n\n2 1\n0 x\n") == (
+        "line 5, column 3: expected an integer, got 'x'")
+    # a whitespace-only line separates records too
+    assert lhcs_error("2 1\n0 1\n \t\n2 1\n1 0\n  \n2 1\n1 5\n") == (
+        "line 8, column 3: symbol 5 out of range [0, 2)")
+    # CRLF line ends and leading blank lines
+    text = "\r\n\r\n2 1\r\n0 1\r\n\r\n2 1\r\n1 0\r\n\r\n2 1\r\n0 1 1\r\n"
+    assert lhcs_error(text) == (
+        "line 10, column 5: trailing token '1' (expected exactly 2 symbols)")
+    assert lhcs_error("\n\n2 1\n0 1\n\n2 1\n  1 0 0\n") == (
+        "line 7, column 7: trailing token '0' (expected exactly 2 symbols)")
+    # a missing header is placed at the record's first token
+    assert lhcs_error("2 1\n0 1\n\n  2\n") == "line 4, column 3: missing 'n d' header"
+    assert lhcs_error("2 1\n0 1\n\n2 1\n1 0\n\n\n 3\n") == (
+        "line 8, column 2: missing 'n d' header")
+    assert lhcs_error("2 1\n0 1\n\n2 x\n") == "line 4, column 3: expected an integer, got 'x'"
+
+
+def test_lhcs_record_separators():
+    assert parse_lhcs("") == parse_lhcs(" \n\n") == []
+    for text in ("2 1\n0 1\n\n2 1\n1 0\n", "\n 2 1\n0 1\n \n\n2 1\n1 0",
+                 "2 1\r\n0 1\r\n\r\n2 1\r\n1 0\r\n", "2 1\r0 1\r\r2 1\r1 0\r"):
+        assert [op.table for op in parse_lhcs(text)] == [(0, 1), (1, 0)]
+    # lines with tokens belong to one record however they are broken
+    assert [op.table for op in parse_lhcs("2\n1 0\n1\n")] == [(0, 1)]
 
 
 def test_tsv_round_trip():
@@ -317,6 +355,24 @@ def test_graph_cli_edges(tmp_path):
     assert open(out).read().splitlines() == [
         "0 1", "0 2", "0 3", "1 2", "1 3", "2 3",
     ]
+
+
+def test_graph_cli_edges_over_the_ceiling(tmp_path, monkeypatch, capsys):
+    # 16 cells of degree 9: 72 edges
+    path = write(tmp_path, "f.lhc", emit_lhc(LatinOp(4, 2, cyclic_table(4))))
+    out = tmp_path / "edges.txt"
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "71")
+    for dest in ("-", str(out)):
+        assert main(["graph", path, "--edges", dest]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 72 graph edges exceed the ceiling of 71\n"
+    assert not out.exists()
+    assert main(["graph", path, "--stats"]) == 0  # the statistics build no edge
+    assert "edges: 72" in capsys.readouterr().out
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "72")
+    assert main(["graph", path, "--edges", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 72
 
 
 def test_verify_operad_cli(capsys):

@@ -17,7 +17,7 @@ from latinop import (
     restrict,
     unit,
 )
-from latinop.enumeration import enumerate_all
+from latinop.enumeration import enumerate_all, random_latin
 
 from oracles import cyclic_table, restrict_cells
 
@@ -89,12 +89,14 @@ def test_restrict_all_cubes_all_slots():
 
 def test_restrict_matches_cell_oracle():
     shapes = ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (2, 5))
-    for n, d in shapes:
-        for f in enumerate_all(n, d):
-            L = graph_of(f)
-            for s in range(1, d + 2):
-                for c in range(n):
-                    assert restrict(L, s, c).cells == restrict_cells(L.cells, s, c)
+    ops = [f for shape in shapes for f in enumerate_all(*shape)]
+    ops += [random_latin(n, d, seed)
+            for n, d in ((6, 2), (4, 3), (5, 3), (3, 4)) for seed in range(3)]
+    for f in ops:
+        L = graph_of(f)
+        for s in range(1, f.d + 2):
+            for c in range(f.n):
+                assert restrict(L, s, c).cells == restrict_cells(L.cells, s, c)
 
 
 def test_restrict_rejects_dimension_one():
