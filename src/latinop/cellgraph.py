@@ -3,12 +3,13 @@
 Vertices are the cells in lexicographic order; two distinct cells are
 adjacent when they agree in at least one coordinate slot.  Any d slots
 of a cell determine it, so distinct cells agree on at most d-1 slots
-(asserted during construction), and n^(d-k) cells agree with a given
-cell on any k <= d chosen slots.  By inclusion-exclusion over the slots
-every cell has the same degree, a function of (n, d) alone.
+(asserted while the edges are streamed), and n^(d-k) cells agree with a
+given cell on any k <= d chosen slots.  By inclusion-exclusion over the
+slots every cell has the same degree, a function of (n, d) alone.
 """
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -31,27 +32,36 @@ class GraphStats:
 
 
 def hypercube_graph(L: CellSet) -> HypercubeGraph:
+    return HypercubeGraph(vertices=L.sorted_cells(), edges=tuple(_edges(L)))
+
+
+def _edges(L: CellSet):
+    """The edges (i, j), i < j, in sorted order, as a stream: refused now,
+    before any edge is built, if they outnumber the cell ceiling."""
     edges, ceiling = graph_stats(L).edges, cell_ceiling()
     if edges > ceiling:
         raise CeilingError(f"{edges} graph edges exceed the ceiling of {ceiling}")
-    vertices = L.sorted_cells()
-    n, d = L.n, L.d
-    shared = {}
-    for s in range(d + 1):
-        buckets = [[] for _ in range(n)]
-        for i, cell in enumerate(vertices):
-            buckets[cell[s]].append(i)
-        for bucket in buckets:
-            for a in range(len(bucket)):
-                for b in range(a + 1, len(bucket)):
-                    pair = (bucket[a], bucket[b])
-                    shared[pair] = shared.get(pair, 0) + 1
-    for (i, j), k in shared.items():
-        if k >= d:
-            raise AssertionError(
-                f"distinct cells {vertices[i]} and {vertices[j]} share {k} slots"
-            )
-    return HypercubeGraph(vertices=vertices, edges=tuple(sorted(shared)))
+    return _edge_stream(L.sorted_cells(), L.n, L.d)
+
+
+def _edge_stream(vertices, n: int, d: int):
+    """Yield (i, j) for each vertex i and each later cell j that shares a
+    slot value with it, j ascending.  Per slot and value a bucket holds the
+    unvisited cells; a cell in k of i's buckets shares k slots with i."""
+    later = [[collections.deque() for _ in range(n)] for _ in range(d + 1)]
+    for i, cell in enumerate(vertices):
+        for s, x in enumerate(cell):
+            later[s][x].append(i)
+    for i, cell in enumerate(vertices):
+        shared = collections.Counter()
+        for s, x in enumerate(cell):
+            later[s][x].popleft()  # i itself
+            shared.update(later[s][x])
+        for j, k in sorted(shared.items()):
+            if k >= d:
+                raise AssertionError(
+                    f"distinct cells {cell} and {vertices[j]} share {k} slots")
+            yield i, j
 
 
 def graph_stats(L: CellSet) -> GraphStats:
@@ -64,6 +74,5 @@ def graph_stats(L: CellSet) -> GraphStats:
 
 def edge_list_lines(L: CellSet):
     """Edge list export: one "u v" pair per line, vertices as cell
-    indices in lexicographic order; the graph is built (or refused) now."""
-    g = hypercube_graph(L)
-    return (f"{i} {j}" for i, j in g.edges)
+    indices in lexicographic order; refused now, streamed as read."""
+    return (f"{i} {j}" for i, j in _edges(L))

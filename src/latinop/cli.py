@@ -1,12 +1,14 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 success / affirmative, 1 negative verification result,
-2 input error, 3 resource-ceiling refusal.
+2 input or write error, 3 resource-ceiling refusal; a reader that closes
+the output pipe ends a command quietly with 0.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import __version__
@@ -32,7 +34,7 @@ from .formats import _separated, emit_lhc, emit_tsv, parse_lhc, parse_tsv
 from .morphisms import DEFAULT_AUTO_CEILING, automorphisms
 from .operad import SlotPermutation, act, compose_at, verify_operad_axioms
 from .pullback import pullback_compose, restrict
-from .transversal import count_transversals, delta_check, find_transversals
+from .transversal import _transversals, count_transversals, delta_check
 
 
 def _read_text(path):
@@ -43,12 +45,19 @@ def _read_text(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
 def _output(path):
-    """A context holding stdout for "-", left open, else the file at path."""
+    """A context holding stdout for "-", left open, else the file at path,
+    whose failed open or write, a closed pipe aside, is a ValidationError
+    naming it."""
     if path == "-":
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
@@ -130,9 +139,11 @@ def cmd_transversals(args):
     if args.count:
         print(f"transversals: {count_transversals(graph_of(f), args.limit)}")
         return 0
-    found = find_transversals(graph_of(f), limit=args.limit)
-    sys.stdout.writelines(_separated(map(emit_tsv, found)))
-    print(f"transversals: {len(found)}", file=sys.stderr)
+    found = 0
+    for record in _separated(map(emit_tsv, _transversals(graph_of(f), args.limit))):
+        sys.stdout.write(record)
+        found += 1
+    print(f"transversals: {found}", file=sys.stderr)
     return 0
 
 
@@ -313,12 +324,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
+        return code
     except CeilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a closed pipe, or stdout failed: files raise ValidationError
+        # what stays buffered goes to the null device at interpreter exit;
+        # an in-process caller's stdout may have no file descriptor
+        with contextlib.suppress(OSError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        if isinstance(exc, BrokenPipeError):  # the reader stopped reading; nothing failed
+            return 0
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 

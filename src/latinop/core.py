@@ -85,6 +85,11 @@ def encode(args, n: int) -> int:
     return idx
 
 
+def _ints(values) -> bool:
+    """True iff every value is an int proper: no bool, no float."""
+    return all(type(v) is int for v in values)
+
+
 @dataclass(frozen=True)
 class SlotPermutation:
     """A bijection of the slots {1..d}, in one-line notation."""
@@ -95,7 +100,7 @@ class SlotPermutation:
     def __post_init__(self):
         d, perm = self.d, tuple(self.perm)
         object.__setattr__(self, "perm", perm)
-        if d < 1 or len(perm) != d or sorted(perm) != list(range(1, d + 1)):
+        if d < 1 or len(perm) != d or not _ints(perm) or sorted(perm) != list(range(1, d + 1)):
             raise ValidationError(f"{perm} is not a permutation of 1..{d}")
 
     @classmethod
@@ -163,7 +168,7 @@ class RawOp:
             )
         n = self.n
         for i, v in enumerate(self.table):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValidationError(
                     f"table entry at index {i} out of range [0, {n}): {v!r}"
                 )

@@ -18,6 +18,7 @@ from .core import (
     ValidationError,
     _check_cells,
     _check_shape,
+    _ints,
     _paratope,
     _trusted,
     encode,
@@ -177,7 +178,7 @@ class Paratopism:
             raise ValidationError(f"expected {k} symbol permutations, got {len(perms)}")
         _check_shape(len(perms[0]), self.d, "dimension")
         for p in perms:
-            if sorted(p) != list(range(self.n)):
+            if not _ints(p) or sorted(p) != list(range(self.n)):
                 raise ValidationError(f"{p} is not a permutation of 0..{self.n - 1}")
 
     @property
@@ -229,16 +230,12 @@ def paratopism_group_order(n: int, d: int) -> int:
 
 
 def _generators(n: int, d: int) -> list:
-    """Adjacent slot and symbol transpositions, which generate the full
-    group, as (slot_perm, symbol_perms) pairs."""
-    def swap(seq, i):
-        return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
-
+    """A transposition and a full cycle of the slots and of slot 1's
+    symbols, as (slot_perm, symbol_perms) pairs.  They generate the full
+    group: slot moves carry slot-1 relabellings to every slot."""
     slots, ids = tuple(range(1, d + 2)), (tuple(range(n)),) * (d + 1)
-    return [(swap(slots, s), ids) for s in range(d)] + [
-        (slots, ids[:s] + (swap(ids[s], v),) + ids[s + 1:])
-        for s in range(d + 1) for v in range(n - 1)
-    ]
+    moves = (lambda p: p[1:2] + p[:1] + p[2:], lambda p: p[1:] + p[:1])
+    return [g for m in moves for g in ((m(slots), ids), (slots, (m(ids[0]), *ids[1:])))]
 
 
 def _orbit(n: int, d: int, table) -> set:

@@ -4,7 +4,7 @@ coordinate-fixing restriction, the substitution of a constant.
 """
 from __future__ import annotations
 
-from .core import CellSet, ValidationError, _check_composable, _trusted, conjugate, function_of
+from .core import CellSet, ValidationError, _check_composable, _trusted
 from .operad import _compose_table
 
 
@@ -53,8 +53,8 @@ def restrict(L: CellSet, s: int, c: int) -> CellSet:
         raise ValidationError(f"slot {s} out of range 1..{L.d + 1}")
     if not 0 <= c < L.n:
         raise ValidationError(f"symbol {c} out of range [0, {L.n})")
-    f = function_of(L)
-    if s == L.d + 1:  # the output slot becomes argument slot d
-        f, s = conjugate(f, L.d), L.d
-    table = _compose_table(L.n, L.d, f.table, 0, (c,), s)
+    if s == L.d + 1:  # per row of n entries, the last argument where the output is c
+        table = tuple(L.table.index(c, k, k + L.n) - k for k in range(0, len(L.table), L.n))
+    else:
+        table = _compose_table(L.n, L.d, L.table, 0, (c,), s)
     return _trusted(CellSet, n=L.n, d=L.d - 1, table=table)

@@ -155,6 +155,17 @@ def _joins(L: CellSet, limit: int | None):
             yield head, entry
 
 
+def _transversals(L: CellSet, limit: int | None):
+    """The canonical transversals of L one at a time, in the order and
+    number that find_transversals lists them."""
+    if limit is not None and limit <= 0:
+        return
+    n, d = L.n, L.d
+    found = (_trusted(Transversal, n=n, d=d, cells=(*head, *tail))
+             for head, tails in _joins(L, limit) for tail in tails)
+    yield from itertools.islice(found, limit)
+
+
 def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]:
     """Canonical transversals of L, in lexicographic cell-sequence order;
     the first ``limit`` of them when a limit is given.
@@ -164,16 +175,7 @@ def find_transversals(L: CellSet, limit: int | None = None) -> list[Transversal]
     searched depth-first and a tail table built once; with a limit
     the tail is empty, so the first results come back at once.
     """
-    if limit is not None and limit <= 0:
-        return []
-    n, d = L.n, L.d
-    out = []
-    for head, tails in _joins(L, limit):
-        for tail in tails:
-            out.append(_trusted(Transversal, n=n, d=d, cells=(*head, *tail)))
-            if len(out) == limit:
-                return out
-    return out
+    return list(_transversals(L, limit))
 
 
 def count_transversals(L: CellSet, limit: int | None = None) -> int:
@@ -182,13 +184,8 @@ def count_transversals(L: CellSet, limit: int | None = None) -> int:
     the lengths of their tail lists; no Transversal is built."""
     if limit is not None and limit <= 0:
         return 0
-    total = 0
     # with a limit the tail is empty and each head adds 1
-    for _, tails in _joins(L, limit):
-        total += len(tails)
-        if total == limit:
-            break
-    return total
+    return sum(len(tails) for _, tails in itertools.islice(_joins(L, limit), limit))
 
 
 def alternating_sum(t: tuple, n: int) -> int:

@@ -116,6 +116,18 @@ def pairwise_degrees(cells):
     return degrees
 
 
+def pairwise_edges(cells):
+    """Edges of the shared-coordinate graph as (i, j) index pairs, i < j,
+    by O(V^2) pairwise scan of the sorted cells in lexicographic order."""
+    cells = sorted(cells)
+    return tuple(
+        (a, b)
+        for a in range(len(cells))
+        for b in range(a + 1, len(cells))
+        if any(x == y for x, y in zip(cells[a], cells[b]))
+    )
+
+
 def max_shared_coordinates(cells):
     cells = sorted(cells)
     best = 0

@@ -2,11 +2,24 @@ import collections
 
 import pytest
 
-from latinop import CeilingError, GraphStats, LatinOp, graph_of, graph_stats, hypercube_graph, unit
+from latinop import (
+    CeilingError,
+    CellSet,
+    GraphStats,
+    LatinOp,
+    graph_of,
+    graph_stats,
+    hypercube_graph,
+    unit,
+)
 from latinop.cellgraph import edge_list_lines
+from latinop.core import _trusted
 from latinop.enumeration import enumerate_all, random_latin
 
-from oracles import cyclic_table, max_shared_coordinates, pairwise_degrees
+from oracles import cyclic_table, max_shared_coordinates, pairwise_degrees, pairwise_edges
+
+# not Latin: cells 4 = (1, 1, 2) and 7 = (2, 1, 2) share two slots
+TWO_SHARED = (0, 1, 2, 1, 2, 0, 2, 2, 1)
 
 
 def test_permutation_graph_has_no_edges():
@@ -122,3 +135,27 @@ def test_edge_list_refused_over_the_ceiling(monkeypatch):
         edge_list_lines(L)  # refused at the call, before any line is read
     monkeypatch.setenv("LATINOP_CELL_CEILING", str(edges))
     assert len(hypercube_graph(L).edges) == edges == 72
+
+
+def test_edge_sequence_matches_pair_scan():
+    # the exact stream, not only the degrees: every pair of cells that
+    # share a slot, in lexicographic order of the index pairs
+    ops = [f for shape in ((2, 3), (3, 3)) for f in enumerate_all(*shape)]
+    ops += [random_latin(n, d, seed)
+            for n, d in ((4, 3), (3, 4), (2, 5), (5, 2)) for seed in range(3)]
+    for f in ops:
+        L = graph_of(f)
+        edges = pairwise_edges(L.cells)
+        assert hypercube_graph(L).edges == edges, (f.n, f.d, f.table)
+        assert list(edge_list_lines(L)) == [f"{i} {j}" for i, j in edges]
+
+
+def test_d_share_guard_trips_while_streaming():
+    # the edges of the cells before the offending pair come out first
+    L = _trusted(CellSet, n=3, d=2, table=TWO_SHARED)
+    lines = edge_list_lines(L)  # nothing is built at the call
+    assert [next(lines) for _ in range(5)] == ["0 1", "0 2", "0 3", "0 5", "0 6"]
+    with pytest.raises(AssertionError, match=r"\(1, 1, 2\) and \(2, 1, 2\) share 2 slots"):
+        list(lines)
+    with pytest.raises(AssertionError):
+        hypercube_graph(L)

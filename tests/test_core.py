@@ -42,6 +42,16 @@ def test_is_latin_matches_definition_oracle():
             assert is_latin(RawOp(n, d, table)) == table_is_latin(n, d, table)
 
 
+@pytest.mark.parametrize("cls", [RawOp, LatinOp])
+def test_tables_take_ints_only(cls):
+    # a bool is an int to isinstance, and was emitted as "True False"
+    for table, bad in [((True, False), True), ((0, True), True), ((1.0, 0), 1.0)]:
+        with pytest.raises(ValidationError) as err:
+            cls(2, 1, table)
+        index = [type(v) is int for v in table].index(False)
+        assert str(err.value) == f"table entry at index {index} out of range [0, 2): {bad!r}"
+
+
 def test_rawop_validation_names_offending_index():
     with pytest.raises(ValidationError, match="length"):
         RawOp(2, 2, (0, 1, 0))

@@ -220,6 +220,16 @@ def test_paratopism_validation():
         Paratopism.identity(2, 1).compose(Paratopism.identity(2, 2))
 
 
+@pytest.mark.parametrize("symbols", [(1.0, 0.0), (1, 0.0), (True, False), (1, False)])
+def test_paratopism_takes_int_symbols_only(symbols):
+    # accepted, a float permutation made a trusted cell set whose table
+    # emit_lhc wrote as "1.0 0.0" and find_transversals could not search
+    with pytest.raises(ValidationError, match="is not a permutation of 0..1"):
+        Paratopism((1, 2, 3), ((0, 1), (0, 1), symbols))
+    with pytest.raises(ValidationError, match="is not a permutation of 1..3"):
+        Paratopism((1, 2, 3.0), ((0, 1),) * 3)
+
+
 def test_canonical_form_idempotent_and_orbit_constant():
     rng = random.Random(9)
     cases = [graph_of(LatinOp(3, 2, cyclic_table(3)))] + [

@@ -1,21 +1,31 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import latinop
 from latinop import (
+    CellSet,
     FormatError,
     LatinOp,
     RawOp,
     emit_lhc,
     emit_lhcs,
     emit_tsv,
+    graph_of,
     parse_lhc,
     parse_lhcs,
     parse_tsv,
 )
+from latinop import transversal
 from latinop.cli import main
+from latinop.core import _trusted
 from latinop.enumeration import enumerate_all
 
 from oracles import cyclic_table
+from test_cellgraph import TWO_SHARED
 from test_cellset import FILES
 
 ADD3 = "3 2\n0 1 2\n1 2 0\n2 0 1\n"
@@ -430,3 +440,81 @@ def test_output_file_matches_stdout(tmp_path, capsys):
         assert main(argv + [str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
+
+
+# ---------------------------------------------------------------- streaming
+
+
+def test_graph_edges_written_as_found(tmp_path, monkeypatch, capsys):
+    # a table that trips the d-share guard at vertex 4: the edges of
+    # vertex 0 are on stdout before the stream fails
+    path = write(tmp_path, "f.lhc", ADD3)
+    bad = _trusted(CellSet, n=3, d=2, table=TWO_SHARED)
+    monkeypatch.setattr("latinop.cli.graph_of", lambda f: bad)
+    with pytest.raises(AssertionError):
+        main(["graph", path, "--edges", "-"])
+    assert capsys.readouterr().out.startswith("0 1\n0 2\n0 3\n0 5\n0 6\n")
+
+
+class SearchStopped(Exception):
+    pass
+
+
+def test_transversals_written_as_found(tmp_path, monkeypatch, capsys):
+    # the search fails after its first result, which is already on stdout
+    path = write(tmp_path, "f.lhc", ADD3)
+    square = graph_of(LatinOp(3, 2, cyclic_table(3)))  # the table of ADD3
+    first = emit_tsv(transversal.find_transversals(square, limit=1)[0])
+    joins = transversal._joins
+
+    def first_then_stop(L, limit):
+        yield next(joins(L, limit))
+        raise SearchStopped
+
+    monkeypatch.setattr(transversal, "_joins", first_then_stop)
+    with pytest.raises(SearchStopped):
+        main(["transversals", path])
+    assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------- write failures
+
+
+def cli_argv(argv):
+    """The command line and environment that run the CLI as a child."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(latinop.__file__)))
+    return [sys.executable, "-m", "latinop.cli", *argv], env
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["enumerate", "--n", "5", "--d", "2", "--stream", "-"], b"5 2\n"),
+    (["graph", "z40.lhc", "--edges", "-"], b"0 1\n"),
+    (["transversals", "z11.lhc"], b"0 0 0\n"),
+])
+def test_closed_pipe_ends_quietly(tmp_path, argv, first):
+    # as with "| head -1": each output is far larger than a pipe buffer,
+    # so the command is still writing when the reader goes away
+    for n in (40, 11):
+        write(tmp_path, f"z{n}.lhc", emit_lhc(LatinOp(n, 2, cyclic_table(n))))
+    argv, env = cli_argv(argv)
+    with subprocess.Popen(argv, env=env, cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, name", [
+    (["random", "--n", "3", "--d", "2"], "stdout"),
+    (["enumerate", "--n", "3", "--d", "2", "--stream", "-"], "stdout"),
+    (["enumerate", "--n", "3", "--d", "2", "--stream", "/dev/full"], "/dev/full"),
+])
+def test_failed_write_exits_2(argv, name):
+    argv, env = cli_argv(argv)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 2
+    message = f"error: cannot write {name}: [Errno 28] No space left on device\n"
+    assert proc.stderr.decode() == message

@@ -200,6 +200,13 @@ def test_slot_permutation_validation():
         SlotPermutation(3, (0, 1, 2))
 
 
+@pytest.mark.parametrize("perm", [(2.0, 1), (2, 1.0), (True, 2), (2, True)])
+def test_slot_permutation_takes_ints_only(perm):
+    # floats and bools compare equal to ints, so sorting alone admits them
+    with pytest.raises(ValidationError, match="is not a permutation of 1..2"):
+        SlotPermutation(2, perm)
+
+
 def test_block_permutation_identity():
     for d in (1, 2, 3):
         for e in (1, 2, 3):
