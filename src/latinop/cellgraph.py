@@ -13,7 +13,7 @@ import collections
 import math
 from dataclasses import dataclass
 
-from .core import CeilingError, CellSet, cell_ceiling
+from .core import CeilingError, CellSet, _latin, cell_ceiling
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def _edge_stream(vertices, n: int, d: int):
 
 
 def graph_stats(L: CellSet) -> GraphStats:
-    """The statistics of the regular graph, from (n, d) alone."""
-    n, d, vertices = L.n, L.d, len(L.table)
+    """The statistics of the regular graph of L, or of a Latin RawOp, from (n, d) alone."""
+    n, d, vertices = L.n, L.d, len(_latin(L).table)
     degree = sum((-1) ** (k + 1) * math.comb(d + 1, k) * n ** (d - k) for k in range(1, d + 1))
     degree += (-1) ** d - 1  # the k = d+1 term, less the cell itself
     return GraphStats(vertices, vertices * degree // 2, ((degree, vertices),), True, degree)

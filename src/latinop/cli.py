@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 
@@ -321,9 +322,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, printed = build_parser(), io.StringIO()
     try:
+        try:  # --help and --version print inside parse_args, then exit
+            with contextlib.redirect_stdout(printed):
+                args = parser.parse_args(argv)
+        finally:  # argparse drops a failed write; this one reaches the handlers
+            if printed.getvalue():
+                print(printed.getvalue(), end="", flush=True)
         code = args.func(args)
         sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
         return code

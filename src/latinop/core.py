@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -24,12 +25,33 @@ class CeilingError(RuntimeError):
     """A configurable resource ceiling would be exceeded."""
 
 
+def _int_in(v, lo: int, hi: float = math.inf) -> bool:
+    """The one int rule: v is an int proper, no bool or float, in [lo, hi)."""
+    return type(v) is int and lo <= v < hi
+
+
+def _first_bad(values, lo: int, hi: float = math.inf) -> int | None:
+    """The index of the first of the sequence ``values`` that breaks the
+    int rule, or None.  The rule is inlined, as a call per value would slow
+    the table constructors; the index is sought only on failure."""
+    for v in values:
+        if type(v) is not int or not lo <= v < hi:
+            return next(i for i, w in enumerate(values) if not _int_in(w, lo, hi))
+    return None
+
+
 def _check_shape(n: int, d: int, word: str = "arity") -> None:
     """Raise ValidationError unless n >= 1 and d (named ``word``) >= 1."""
-    if n < 1:
+    if not _int_in(n, 1):
         raise ValidationError(f"carrier order must be >= 1, got {n}")
-    if d < 1:
+    if not _int_in(d, 1):
         raise ValidationError(f"{word} must be >= 1, got {d}")
+
+
+def _check_slot(s: int, top: int) -> None:
+    """Raise ValidationError unless the slot s is an int in 1..top."""
+    if not _int_in(s, 1, top + 1):
+        raise ValidationError(f"slot {s} out of range 1..{top}")
 
 
 def cell_ceiling() -> int:
@@ -72,8 +94,7 @@ def _check_composable(f, g, i: int) -> None:
     the slot is in range and the composite fits under the cell ceiling."""
     if f.n != g.n:
         raise ValidationError(f"carrier mismatch: {f.n} != {g.n}")
-    if not 1 <= i <= f.d:
-        raise ValidationError(f"slot {i} out of range 1..{f.d}")
+    _check_slot(i, f.d)
     _check_cells(f.n, f.d + g.d - 1)
 
 
@@ -83,11 +104,6 @@ def encode(args, n: int) -> int:
     for a in args:
         idx = idx * n + a
     return idx
-
-
-def _ints(values) -> bool:
-    """True iff every value is an int proper: no bool, no float."""
-    return all(type(v) is int for v in values)
 
 
 @dataclass(frozen=True)
@@ -100,7 +116,8 @@ class SlotPermutation:
     def __post_init__(self):
         d, perm = self.d, tuple(self.perm)
         object.__setattr__(self, "perm", perm)
-        if d < 1 or len(perm) != d or not _ints(perm) or sorted(perm) != list(range(1, d + 1)):
+        if (not _int_in(d, 1) or len(perm) != d or _first_bad(perm, 1, d + 1) is not None
+                or sorted(perm) != list(range(1, d + 1))):
             raise ValidationError(f"{perm} is not a permutation of 1..{d}")
 
     @classmethod
@@ -166,19 +183,18 @@ class RawOp:
             raise ValidationError(
                 f"table length {len(self.table)} != n^d = {expected}"
             )
-        n = self.n
-        for i, v in enumerate(self.table):
-            if type(v) is not int or not 0 <= v < n:
-                raise ValidationError(
-                    f"table entry at index {i} out of range [0, {n}): {v!r}"
-                )
+        i = _first_bad(self.table, 0, self.n)
+        if i is not None:
+            raise ValidationError(
+                f"table entry at index {i} out of range [0, {self.n}): {self.table[i]!r}"
+            )
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.d:
             raise ValidationError(f"expected {self.d} arguments, got {len(args)}")
-        for k, a in enumerate(args, 1):
-            if not isinstance(a, int) or not 0 <= a < self.n:
-                raise ValidationError(f"argument {k} out of range [0, {self.n}): {a!r}")
+        k = _first_bad(args, 0, self.n)
+        if k is not None:
+            raise ValidationError(f"argument {k + 1} out of range [0, {self.n}): {args[k]!r}")
         return self.table[encode(args, self.n)]
 
     def arg_tuples(self):
@@ -224,10 +240,10 @@ def _check_latin(n: int, d: int, table) -> None:
         raise ValidationError(f"table is not Latin (order {n}, arity {d})")
 
 
-def _latin(f: RawOp) -> LatinOp:
-    """f as a LatinOp: a LatinOp as it is; any other RawOp, whose ranges
-    its constructor or parse_lhc checked, only Latin-scanned."""
-    if isinstance(f, LatinOp):
+def _latin(f: RawOp | CellSet) -> LatinOp | CellSet:
+    """f as a verified hypercube: a LatinOp or CellSet as it is; any other
+    RawOp, range-checked where it was built, Latin-scanned to a LatinOp."""
+    if isinstance(f, (LatinOp, CellSet)):
         return f
     _check_latin(f.n, f.d, f.table)
     return _trusted(LatinOp, n=f.n, d=f.d, table=f.table)
@@ -235,15 +251,17 @@ def _latin(f: RawOp) -> LatinOp:
 
 def _check_cell_shapes(cells, n: int, d: int) -> None:
     """Raise ValidationError unless every cell is a (d+1)-tuple of ints
-    in [0, n)."""
+    in [0, n): checked a slot at a time, then cell by cell for the message."""
+    if set(map(len, cells)) <= {d + 1} and all(
+            _first_bad(col, 0, n) is None for col in zip(*cells)):
+        return
     for cell in cells:
         if len(cell) != d + 1:
             raise ValidationError(
                 f"cell {cell} has length {len(cell)}, expected {d + 1}"
             )
-        for v in cell:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise ValidationError(f"cell {cell} entry out of range [0, {n})")
+        if _first_bad(cell, 0, n) is not None:
+            raise ValidationError(f"cell {cell} entry out of range [0, {n})")
 
 
 def _cell_table(cells, n: int, d: int) -> tuple:
@@ -359,6 +377,5 @@ def conjugate(f: LatinOp, s: int) -> LatinOp:
     conjugate(f, d+1) equals f.  For d=1 and s=1 this is the inverse
     permutation.  A RawOp is accepted if it is Latin.
     """
-    if not 1 <= s <= f.d + 1:
-        raise ValidationError(f"slot {s} out of range 1..{f.d + 1}")
+    _check_slot(s, f.d + 1)
     return _slot_move(f, (*range(1, s), f.d + 1, *range(s, f.d + 1)))

@@ -18,7 +18,8 @@ from .core import (
     ValidationError,
     _check_cells,
     _check_shape,
-    _ints,
+    _first_bad,
+    _latin,
     _paratope,
     _trusted,
     encode,
@@ -178,7 +179,7 @@ class Paratopism:
             raise ValidationError(f"expected {k} symbol permutations, got {len(perms)}")
         _check_shape(len(perms[0]), self.d, "dimension")
         for p in perms:
-            if not _ints(p) or sorted(p) != list(range(self.n)):
+            if _first_bad(p, 0, self.n) is not None or sorted(p) != list(range(self.n)):
                 raise ValidationError(f"{p} is not a permutation of 0..{self.n - 1}")
 
     @property
@@ -216,12 +217,12 @@ class Paratopism:
 
 
 def apply_paratopism(p: Paratopism, L: CellSet) -> CellSet:
-    """Image of a cell set under a paratopism (always a valid cell set)."""
+    """Image of a cell set, or of a Latin RawOp, under a paratopism: a valid cell set."""
     if p.d != L.d:
         raise ValidationError(f"dimension mismatch: {p.d} != {L.d}")
     if p.n != L.n:
         raise ValidationError("symbol permutation order does not match carrier")
-    table = _paratope(L.n, L.d, p.slot_perm, p.symbol_perms)(L.table)
+    table = _paratope(L.n, L.d, p.slot_perm, p.symbol_perms)(_latin(L).table)
     return _trusted(CellSet, n=L.n, d=L.d, table=table)
 
 
@@ -268,10 +269,10 @@ def canonical_form(L: CellSet, ceiling: int | None = None) -> CellSet:
     lexicographically least cell set: the graphs of tables of one (n, d)
     list their cells over the same argument sequence.
 
-    Two hypercubes are paratopic iff their canonical forms coincide.
+    Two hypercubes, or Latin RawOps, are paratopic iff their canonical forms coincide.
     """
     _check_group_ceiling(L.n, L.d, ceiling)
-    return _trusted(CellSet, n=L.n, d=L.d, table=min(_orbit(L.n, L.d, L.table)))
+    return _trusted(CellSet, n=L.n, d=L.d, table=min(_orbit(L.n, L.d, _latin(L).table)))
 
 
 def orbit_census(n: int, d: int, ceiling: int | None = None,

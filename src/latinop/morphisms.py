@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import CeilingError, LatinOp, ValidationError
+from .core import CeilingError, LatinOp, ValidationError, _first_bad
 
 DEFAULT_AUTO_CEILING = 8
 
@@ -21,9 +21,9 @@ def is_homomorphism(iota, g: LatinOp, f: LatinOp) -> bool:
     iota = tuple(iota)
     if len(iota) != g.n:
         raise ValidationError(f"map has {len(iota)} entries, expected {g.n}")
-    for v in iota:
-        if not isinstance(v, int) or not 0 <= v < f.n:
-            raise ValidationError(f"map value {v!r} out of range [0, {f.n})")
+    i = _first_bad(iota, 0, f.n)
+    if i is not None:
+        raise ValidationError(f"map value {iota[i]!r} out of range [0, {f.n})")
     return _preserves(iota, g, f)
 
 

@@ -18,6 +18,8 @@ from .core import (
     ValidationError,
     _check_cells,
     _check_composable,
+    _check_slot,
+    _int_in,
     _latin,
     _non_latin_slot,
     _paratope,
@@ -70,8 +72,7 @@ def compose_perm_at(sigma: SlotPermutation, tau: SlotPermutation, i: int) -> Slo
     the run by tau; letters above i shift up by e-1, letters below stay.
     """
     d, e = sigma.d, tau.d
-    if not 1 <= i <= d:
-        raise ValidationError(f"slot {i} out of range 1..{d}")
+    _check_slot(i, d)
     out = []
     for v in sigma.perm:
         if v == i:
@@ -83,7 +84,7 @@ def compose_perm_at(sigma: SlotPermutation, tau: SlotPermutation, i: int) -> Slo
 
 def block_permutation(sigma: SlotPermutation, i: int, e: int) -> SlotPermutation:
     """sigma with its letter i replaced by a block of e letters moved as a unit."""
-    if e < 1:
+    if not _int_in(e, 1):
         raise ValidationError(f"block degree must be >= 1, got {e}")
     return compose_perm_at(sigma, SlotPermutation.identity(e), i)
 
@@ -153,7 +154,7 @@ def verify_operad_axioms(
     witness, not raised.  Both max_degree and sample_budget must be >= 1.
     """
     for name, value in (("max_degree", max_degree), ("sample_budget", sample_budget)):
-        if value < 1:
+        if not _int_in(value, 1):
             raise ValidationError(f"{name} must be >= 1, got {value}")
     _check_cells(n, 2 * max_degree - 1)  # the largest pool composite
     pools, exhaustive = _pools(n, max_degree, sample_budget, seed)

@@ -4,14 +4,21 @@ coordinate-fixing restriction, the substitution of a constant.
 """
 from __future__ import annotations
 
-from .core import CellSet, ValidationError, _check_composable, _trusted
+from .core import (
+    CellSet,
+    ValidationError,
+    _check_composable,
+    _check_slot,
+    _int_in,
+    _latin,
+    _trusted,
+)
 from .operad import _compose_table
 
 
 def projection_tau(t: tuple, s: int) -> tuple:
     """Discard coordinate s (1-based) of a tuple."""
-    if not 1 <= s <= len(t):
-        raise ValidationError(f"slot {s} out of range 1..{len(t)}")
+    _check_slot(s, len(t))
     return t[: s - 1] + t[s:]
 
 
@@ -42,17 +49,17 @@ def pullback_compose(L: CellSet, M: CellSet, i: int) -> CellSet:
 
 
 def restrict(L: CellSet, s: int, c: int) -> CellSet:
-    """Fix coordinate s to the value c and delete that slot.
+    """Fix coordinate s of L, or of a Latin RawOp, to the value c and delete that slot.
 
     Only defined for d >= 2: the result is a hypercube of dimension d-1.
     It substitutes the constant c, a one-entry table of arity 0, into slot s.
     """
     if L.d < 2:
         raise ValidationError("restriction needs dimension >= 2")
-    if not 1 <= s <= L.d + 1:
-        raise ValidationError(f"slot {s} out of range 1..{L.d + 1}")
-    if not 0 <= c < L.n:
+    _check_slot(s, L.d + 1)
+    if not _int_in(c, 0, L.n):
         raise ValidationError(f"symbol {c} out of range [0, {L.n})")
+    L = _latin(L)
     if s == L.d + 1:  # per row of n entries, the last argument where the output is c
         table = tuple(L.table.index(c, k, k + L.n) - k for k in range(0, len(L.table), L.n))
     else:

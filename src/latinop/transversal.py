@@ -15,6 +15,7 @@ from .core import (
     CellSet,
     ValidationError,
     _check_cell_shapes,
+    _first_bad,
     _trusted,
     cell_ceiling,
     encode,
@@ -25,8 +26,8 @@ from .core import (
 class Transversal:
     """n cells hitting every value exactly once in every slot.
 
-    Cells are kept in canonical order: sorted, so slot-1 values run
-    0..n-1 when the transversal is canonical.
+    The constructor keeps the cells in the given order; find_transversals
+    returns them sorted, so their slot-1 values run 0..n-1.
     """
 
     n: int
@@ -190,12 +191,11 @@ def count_transversals(L: CellSet, limit: int | None = None) -> int:
 
 def alternating_sum(t: tuple, n: int) -> int:
     """Sum of (-1)^(i-1) * t_i over the coordinates, reduced mod n."""
-    total = 0
-    for i, v in enumerate(t):
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise ValidationError(f"entry {v!r} out of range [0, {n})")
-        total += v if i % 2 == 0 else -v
-    return total % n
+    t = tuple(t)
+    i = _first_bad(t, 0, n)
+    if i is not None:
+        raise ValidationError(f"entry {t[i]!r} out of range [0, {n})")
+    return (sum(t[0::2]) - sum(t[1::2])) % n
 
 
 @dataclass(frozen=True, slots=True)

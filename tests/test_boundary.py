@@ -1,0 +1,118 @@
+"""Input checks at the library boundary: one int rule for every integer
+a caller passes in, one slot check, and the Latin gate on every
+function that builds a verified hypercube from its operand."""
+import itertools
+import random
+
+import pytest
+
+from latinop import (
+    CellSet,
+    LatinOp,
+    Paratopism,
+    RawOp,
+    SlotPermutation,
+    Transversal,
+    ValidationError,
+    alternating_sum,
+    apply_paratopism,
+    block_permutation,
+    canonical_form,
+    compose_at,
+    compose_perm_at,
+    conjugate,
+    count_all,
+    enumerate_all,
+    graph_of,
+    graph_stats,
+    is_homomorphism,
+    is_latin_cellset,
+    orbit_census,
+    projection_tau,
+    pullback_compose,
+    random_latin,
+    restrict,
+    verify_operad_axioms,
+)
+
+from oracles import table_is_latin
+
+XOR = LatinOp(2, 2, (0, 1, 1, 0))
+XOR3 = LatinOp(2, 3, (0, 1, 1, 0, 1, 0, 0, 1))  # x ^ y ^ z
+IDENTITY = LatinOp(2, 1, (0, 1))
+SHIFT = LatinOp(2, 1, (1, 0))
+SWAP = SlotPermutation(2, (2, 1))
+
+# name: (a call taking the value v, an out-of-range int for v, the result
+# when v is the int 1); True and 1.0 compare equal to 1, so only the rule
+# that a value is an int proper refuses them
+ENTRY_POINTS = {
+    "RawOp order": (lambda v: RawOp(v, 1, (0,)), 0, RawOp(1, 1, (0,))),
+    "RawOp arity": (lambda v: RawOp(2, v, (0, 1)), 0, RawOp(2, 1, (0, 1))),
+    "RawOp entry": (lambda v: RawOp(2, 1, (0, v)), 2, RawOp(2, 1, (0, 1))),
+    "call argument": (lambda v: XOR(v, 0), 2, 1),
+    "CellSet order": (lambda v: CellSet(v, 1, [(0, 0)]), 0, graph_of(LatinOp(1, 1, (0,)))),
+    "CellSet dimension": (lambda v: CellSet(2, v, [(0, 0), (1, 1)]), 0, graph_of(IDENTITY)),
+    "CellSet cell": (lambda v: CellSet(2, 1, [(0, v), (v, 0)]), 2, graph_of(SHIFT)),
+    "is_latin_cellset order": (lambda v: is_latin_cellset([(0, 0)], v, 1), 0, True),
+    "is_latin_cellset cell": (lambda v: is_latin_cellset([(0, v), (v, 0)], 2, 1), 2, True),
+    "Transversal cell": (lambda v: Transversal(2, 1, [(0, v), (v, 0)]).cells, 2,
+                         ((0, 1), (1, 0))),
+    "count_all order": (lambda v: count_all(v, 2), 0, 1),
+    "count_all arity": (lambda v: count_all(2, v), 0, 2),
+    "enumerate_all order": (lambda v: list(enumerate_all(v, 1)), 0, [LatinOp(1, 1, (0,))]),
+    "random_latin arity": (lambda v: random_latin(2, v), 0, LatinOp(2, 1, (0, 1))),
+    "orbit_census arity": (lambda v: len(orbit_census(2, v)), 0, 1),
+    "alternating_sum entry": (lambda v: alternating_sum((0, v), 2), 2, 1),
+    "is_homomorphism map value": (lambda v: is_homomorphism((0, v), IDENTITY, IDENTITY), 2,
+                                  True),
+    "restrict constant": (lambda v: restrict(graph_of(XOR), 1, v), 2, graph_of(SHIFT)),
+    "restrict slot": (lambda v: restrict(graph_of(XOR), v, 0), 4, graph_of(IDENTITY)),
+    "SlotPermutation degree": (lambda v: SlotPermutation(v, (1,)).perm, 0, (1,)),
+    "SlotPermutation entry": (lambda v: SlotPermutation(2, (v, 2)).perm, 3, (1, 2)),
+    "Paratopism symbol": (lambda v: Paratopism((1, 2), ((0, v), (v, 0))).symbol_perms, 2,
+                          ((0, 1), (1, 0))),
+    "compose_at slot": (lambda v: compose_at(XOR, XOR, v), 3, XOR3),
+    "pullback_compose slot": (lambda v: pullback_compose(graph_of(XOR), graph_of(XOR), v), 3,
+                              graph_of(XOR3)),
+    "compose_perm_at slot": (lambda v: compose_perm_at(SWAP, SlotPermutation(1, (1,)), v).perm,
+                             3, (2, 1)),
+    "block_permutation degree": (lambda v: block_permutation(SWAP, 1, v).perm, 0, (2, 1)),
+    "conjugate slot": (lambda v: conjugate(XOR, v), 4, XOR),
+    "projection_tau slot": (lambda v: projection_tau((5, 7), v), 3, (7,)),
+    "verify_operad_axioms degree": (lambda v: verify_operad_axioms(2, v).ok, 0, True),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_one_int_rule(name):
+    # a bool, a float or an out-of-range int is refused with a
+    # ValidationError, never a TypeError, an AttributeError or a bare
+    # ValueError from inside a kernel; the int itself is accepted
+    call, out_of_range, expected = ENTRY_POINTS[name]
+    for bad in (True, 1.0, out_of_range):
+        with pytest.raises(ValidationError):
+            call(bad)
+    assert call(1) == expected
+
+
+def test_latin_gate_on_raw_input():
+    # each of these builds a verified hypercube from its operand, so a
+    # non-Latin RawOp is refused, and a Latin one gives what its CellSet
+    # gives; restriction refuses dimension 1 before it looks at the table
+    for n, d in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        p = Paratopism.random(n, d, random.Random(10 * n + d))
+        calls = [lambda L: apply_paratopism(p, L), canonical_form, graph_stats]
+        if d >= 2:
+            calls += [lambda L, s=s, c=c: restrict(L, s, c)
+                      for s in range(1, d + 2) for c in range(n)]
+        for table in itertools.product(range(n), repeat=n ** d):
+            f = RawOp(n, d, table)
+            if table_is_latin(n, d, table):
+                L = graph_of(LatinOp(n, d, table))
+                for call in calls:
+                    assert call(f) == call(L)
+                continue
+            for call in calls:
+                with pytest.raises(ValidationError, match="not Latin"):
+                    call(f)

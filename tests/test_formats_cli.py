@@ -224,9 +224,9 @@ def test_enumerate_count_cli(capsys):
 
 
 def test_enumerate_stream_cli(tmp_path):
-    out = str(tmp_path / "out.lhcs")
-    assert main(["enumerate", "--n", "3", "--d", "1", "--stream", out]) == 0
-    ops = parse_lhcs(open(out).read())
+    out = tmp_path / "out.lhcs"
+    assert main(["enumerate", "--n", "3", "--d", "1", "--stream", str(out)]) == 0
+    ops = parse_lhcs(out.read_text())
     assert len(ops) == 6
     assert [op.table for op in ops] == sorted(op.table for op in ops)
 
@@ -360,9 +360,9 @@ def test_graph_cli_stats(tmp_path, capsys):
 
 def test_graph_cli_edges(tmp_path):
     path = write(tmp_path, "f.lhc", "2 2\n0 1\n1 0\n")
-    out = str(tmp_path / "edges.txt")
-    assert main(["graph", path, "--edges", out]) == 0
-    assert open(out).read().splitlines() == [
+    out = tmp_path / "edges.txt"
+    assert main(["graph", path, "--edges", str(out)]) == 0
+    assert out.read_text().splitlines() == [
         "0 1", "0 2", "0 3", "1 2", "1 3", "2 3",
     ]
 
@@ -510,6 +510,8 @@ def test_closed_pipe_ends_quietly(tmp_path, argv, first):
     (["random", "--n", "3", "--d", "2"], "stdout"),
     (["enumerate", "--n", "3", "--d", "2", "--stream", "-"], "stdout"),
     (["enumerate", "--n", "3", "--d", "2", "--stream", "/dev/full"], "/dev/full"),
+    (["--version"], "stdout"),
+    (["--help"], "stdout"),
 ])
 def test_failed_write_exits_2(argv, name):
     argv, env = cli_argv(argv)
