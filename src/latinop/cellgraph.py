@@ -13,7 +13,7 @@ import collections
 import math
 from dataclasses import dataclass
 
-from .core import CeilingError, CellSet, _latin, cell_ceiling
+from .core import CeilingError, CellSet, _latin, _trusted, cell_ceiling
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,14 @@ class GraphStats:
 
 
 def hypercube_graph(L: CellSet) -> HypercubeGraph:
+    """The graph of L, or of a Latin RawOp."""
+    L = _cells(L)
     return HypercubeGraph(vertices=L.sorted_cells(), edges=tuple(_edges(L)))
+
+
+def _cells(L) -> CellSet:
+    """L, a hypercube or a Latin RawOp, as a CellSet: through the Latin gate."""
+    return _trusted(CellSet, n=L.n, d=L.d, table=_latin(L).table)
 
 
 def _edges(L: CellSet):
@@ -73,6 +80,7 @@ def graph_stats(L: CellSet) -> GraphStats:
 
 
 def edge_list_lines(L: CellSet):
-    """Edge list export: one "u v" pair per line, vertices as cell
-    indices in lexicographic order; refused now, streamed as read."""
-    return (f"{i} {j}" for i, j in _edges(L))
+    """Edge list export of L, or of a Latin RawOp: one "u v" pair per line,
+    vertices as cell indices in lexicographic order; refused now, streamed
+    as read."""
+    return (f"{i} {j}" for i, j in _edges(_cells(L)))

@@ -48,6 +48,12 @@ def _check_shape(n: int, d: int, word: str = "arity") -> None:
         raise ValidationError(f"{word} must be >= 1, got {d}")
 
 
+def _check_int(v, word: str) -> None:
+    """Raise ValidationError unless v, named ``word``, is an int proper."""
+    if not _int_in(v, -math.inf):
+        raise ValidationError(f"{word} must be an int, got {v!r}")
+
+
 def _check_slot(s: int, top: int) -> None:
     """Raise ValidationError unless the slot s is an int in 1..top."""
     if not _int_in(s, 1, top + 1):
@@ -75,6 +81,7 @@ def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
     _check_shape(n, d)
     if ceiling is None:
         ceiling = cell_ceiling()
+    _check_int(ceiling, "cell ceiling")
     # n^d >= 2^(d * (bit_length(n) - 1)): a huge claim is refused before
     # n^d is formed, so no power much beyond the ceiling squared is built
     if d * (n.bit_length() - 1) > ceiling.bit_length() or n ** d > ceiling:

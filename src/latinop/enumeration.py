@@ -17,6 +17,7 @@ from .core import (
     SlotPermutation,
     ValidationError,
     _check_cells,
+    _check_int,
     _check_shape,
     _first_bad,
     _latin,
@@ -26,6 +27,10 @@ from .core import (
 )
 
 DEFAULT_GROUP_CEILING = 100_000
+# enumerate_all stacks layers from a list whose cells, times n, number at
+# most this, built per call so that none stays in memory; beyond it,
+# enumerate_all searches cell by cell
+LAYER_BUDGET = 10 ** 5
 
 
 @functools.cache
@@ -118,12 +123,65 @@ def _search(n: int, d: int, value_order=None, allowed=None):
             masks[i] ^= bit
 
 
+def _stacked(n: int, layers: list):
+    """Yield the table of every sequence of n pairwise-disjoint entries of
+    ``layers``, a lexicographically ordered list of (mask, table) pairs,
+    each table the concatenation of the sequence's tables, in
+    lexicographic order.
+
+    Depth-first on an explicit stack: the candidates of level k + 1 are
+    those of level k whose mask ANDs to zero with the one chosen there.
+    """
+    pools, its, heads = [layers], [iter(layers)], [()]
+    while its:
+        for mask, table in its[-1]:
+            head = heads[-1] + table
+            if len(its) == n:
+                yield head
+                continue
+            pool = [c for c in pools[-1] if not c[0] & mask]
+            pools.append(pool)
+            its.append(iter(pool))
+            heads.append(head)
+            break
+        else:
+            pools.pop()
+            its.pop()
+            heads.pop()
+
+
+def _layers(n: int, d: int) -> list | None:
+    """Every Latin (d-1)-ary table of order n in lexicographic order, each
+    paired with its mask (bit p * n + v set for value v at position p),
+    built bottom-up from the n 0-ary tables, one arity at a time.  None
+    once a list's cells times n, the cells that one path of _stacked may
+    filter, exceed LAYER_BUDGET."""
+    if n * n > LAYER_BUDGET:
+        return None
+    layers = [(1 << v, (v,)) for v in range(n)]  # the 0-ary tables
+    for k in range(1, d):  # the k-ary tables, of n^k cells each
+        cap = LAYER_BUDGET // n ** (k + 1)
+        tables = list(itertools.islice(_stacked(n, layers), cap + 1))
+        if len(tables) > cap:
+            return None
+        layers = [(sum(1 << p * n + v for p, v in enumerate(t)), t) for t in tables]
+    return layers
+
+
 def enumerate_all(n: int, d: int, ceiling: int | None = None):
     """Yield every Latin d-ary operation of order n exactly once, in
-    lexicographic table order."""
+    lexicographic table order.
+
+    Cut along slot 1, a Latin table is n Latin (d-1)-ary layers that
+    differ in every cell, in table order.  So the tables are the stacks
+    of n pairwise-disjoint entries of the layer list; over the layer
+    budget the cell-by-cell search yields the same tables.
+    """
     _check_cells(n, d, ceiling)
-    for table in _search(n, d):
-        yield _trusted(LatinOp, n=n, d=d, table=tuple(table))
+    layers = _layers(n, d)
+    tables = _stacked(n, layers) if layers is not None else map(tuple, _search(n, d))
+    for table in tables:
+        yield _trusted(LatinOp, n=n, d=d, table=table)
 
 
 def count_all(n: int, d: int, ceiling: int | None = None) -> int:
@@ -257,6 +315,7 @@ def _orbit(n: int, d: int, table) -> set:
 def _check_group_ceiling(n: int, d: int, ceiling: int | None) -> None:
     if ceiling is None:
         ceiling = DEFAULT_GROUP_CEILING
+    _check_int(ceiling, "group ceiling")
     order = paratopism_group_order(n, d)
     if order > ceiling:
         raise CeilingError(

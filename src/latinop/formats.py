@@ -81,11 +81,10 @@ def _record(toks) -> RawOp:
 
 
 def emit_lhc(op: RawOp) -> str:
-    """Serialize an operation; one line of n symbols per innermost row."""
-    lines = [f"{op.n} {op.d}"]
-    for base in range(0, len(op.table), op.n):
-        lines.append(" ".join(map(str, op.table[base:base + op.n])))
-    return "\n".join(lines) + "\n"
+    """Serialize an operation; one line of n symbols per innermost row,
+    formatted in one operation from a row template built per call."""
+    row = " ".join(["%s"] * op.n) + "\n"
+    return f"{op.n} {op.d}\n" + row * (len(op.table) // op.n) % op.table
 
 
 def parse_lhcs(text: str) -> list:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import CeilingError, LatinOp, ValidationError, _first_bad
+from .core import CeilingError, LatinOp, ValidationError, _check_int, _first_bad
 
 DEFAULT_AUTO_CEILING = 8
 
@@ -47,6 +47,7 @@ def automorphisms(f: LatinOp, ceiling: int = DEFAULT_AUTO_CEILING) -> list:
     subgroup of the symmetric group (asserted).
     """
     n = f.n
+    _check_int(ceiling, "automorphism-scan ceiling")
     if n > ceiling:
         raise CeilingError(
             f"carrier order {n} exceeds the automorphism-scan ceiling {ceiling}"

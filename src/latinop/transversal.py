@@ -15,6 +15,7 @@ from .core import (
     CellSet,
     ValidationError,
     _check_cell_shapes,
+    _check_int,
     _first_bad,
     _trusted,
     cell_ceiling,
@@ -156,10 +157,18 @@ def _joins(L: CellSet, limit: int | None):
             yield head, entry
 
 
+def _none_asked(limit: int | None) -> bool:
+    """True iff ``limit``, an int or None for no limit, asks for no result."""
+    if limit is None:
+        return False
+    _check_int(limit, "limit")
+    return limit <= 0
+
+
 def _transversals(L: CellSet, limit: int | None):
     """The canonical transversals of L one at a time, in the order and
     number that find_transversals lists them."""
-    if limit is not None and limit <= 0:
+    if _none_asked(limit):
         return
     n, d = L.n, L.d
     found = (_trusted(Transversal, n=n, d=d, cells=(*head, *tail))
@@ -183,7 +192,7 @@ def count_transversals(L: CellSet, limit: int | None = None) -> int:
     """Number of canonical transversals of L (slot-1 component = identity),
     at most ``limit`` when a limit is given.  Summed over the heads from
     the lengths of their tail lists; no Transversal is built."""
-    if limit is not None and limit <= 0:
+    if _none_asked(limit):
         return 0
     # with a limit the tail is empty and each head adds 1
     return sum(len(tails) for _, tails in itertools.islice(_joins(L, limit), limit))

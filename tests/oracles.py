@@ -256,3 +256,11 @@ def paratopism_orbit_cells(n, d, cells):
                 seen.add(image)
                 queue.append(image)
     return seen
+
+
+def emit_lhc_rowwise(op):
+    """The .lhc text of an operation, joined a row at a time."""
+    lines = [f"{op.n} {op.d}"]
+    for base in range(0, len(op.table), op.n):
+        lines.append(" ".join(map(str, op.table[base:base + op.n])))
+    return "\n".join(lines) + "\n"

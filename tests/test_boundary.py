@@ -7,6 +7,7 @@ import random
 import pytest
 
 from latinop import (
+    CeilingError,
     CellSet,
     LatinOp,
     Paratopism,
@@ -16,15 +17,19 @@ from latinop import (
     ValidationError,
     alternating_sum,
     apply_paratopism,
+    automorphisms,
     block_permutation,
     canonical_form,
     compose_at,
     compose_perm_at,
     conjugate,
     count_all,
+    count_transversals,
     enumerate_all,
+    find_transversals,
     graph_of,
     graph_stats,
+    hypercube_graph,
     is_homomorphism,
     is_latin_cellset,
     orbit_census,
@@ -35,6 +40,7 @@ from latinop import (
     verify_operad_axioms,
 )
 
+from latinop.cellgraph import edge_list_lines
 from oracles import table_is_latin
 
 XOR = LatinOp(2, 2, (0, 1, 1, 0))
@@ -42,10 +48,13 @@ XOR3 = LatinOp(2, 3, (0, 1, 1, 0, 1, 0, 0, 1))  # x ^ y ^ z
 IDENTITY = LatinOp(2, 1, (0, 1))
 SHIFT = LatinOp(2, 1, (1, 0))
 SWAP = SlotPermutation(2, (2, 1))
+Z3 = LatinOp(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))  # x + y mod 3
 
-# name: (a call taking the value v, an out-of-range int for v, the result
-# when v is the int 1); True and 1.0 compare equal to 1, so only the rule
-# that a value is an int proper refuses them
+# name: (a call taking the value v, a further value refused for v: an
+# out-of-range int, or 2.5 where every int is in range, the result when v
+# is the int 1 or the error it raises past the int rule); True and 1.0
+# compare equal to 1, so only the rule that a value is an int proper
+# refuses them
 ENTRY_POINTS = {
     "RawOp order": (lambda v: RawOp(v, 1, (0,)), 0, RawOp(1, 1, (0,))),
     "RawOp arity": (lambda v: RawOp(2, v, (0, 1)), 0, RawOp(2, 1, (0, 1))),
@@ -81,6 +90,15 @@ ENTRY_POINTS = {
     "conjugate slot": (lambda v: conjugate(XOR, v), 4, XOR),
     "projection_tau slot": (lambda v: projection_tau((5, 7), v), 3, (7,)),
     "verify_operad_axioms degree": (lambda v: verify_operad_axioms(2, v).ok, 0, True),
+    "count_all ceiling": (lambda v: count_all(1, 1, ceiling=v), 2.5, 1),
+    "enumerate_all ceiling": (lambda v: list(enumerate_all(1, 1, ceiling=v)), 2.5,
+                              [LatinOp(1, 1, (0,))]),
+    "canonical_form ceiling": (lambda v: canonical_form(graph_of(IDENTITY), v), 2.5,
+                               CeilingError),
+    "automorphisms ceiling": (lambda v: automorphisms(LatinOp(1, 1, (0,)), v), 2.5, [(0,)]),
+    "find_transversals limit": (lambda v: find_transversals(graph_of(Z3), v), 2.5,
+                                [Transversal(3, 2, ((0, 0, 0), (1, 1, 2), (2, 2, 1)))]),
+    "count_transversals limit": (lambda v: count_transversals(graph_of(Z3), v), 2.5, 1),
 }
 
 
@@ -89,11 +107,15 @@ def test_one_int_rule(name):
     # a bool, a float or an out-of-range int is refused with a
     # ValidationError, never a TypeError, an AttributeError or a bare
     # ValueError from inside a kernel; the int itself is accepted
-    call, out_of_range, expected = ENTRY_POINTS[name]
-    for bad in (True, 1.0, out_of_range):
+    call, refused, expected = ENTRY_POINTS[name]
+    for bad in (True, 1.0, refused):
         with pytest.raises(ValidationError):
             call(bad)
-    assert call(1) == expected
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call(1)
+    else:
+        assert call(1) == expected
 
 
 def test_latin_gate_on_raw_input():
@@ -102,7 +124,8 @@ def test_latin_gate_on_raw_input():
     # gives; restriction refuses dimension 1 before it looks at the table
     for n, d in ((2, 1), (3, 1), (2, 2), (3, 2)):
         p = Paratopism.random(n, d, random.Random(10 * n + d))
-        calls = [lambda L: apply_paratopism(p, L), canonical_form, graph_stats]
+        calls = [lambda L: apply_paratopism(p, L), canonical_form, graph_stats,
+                 hypercube_graph, lambda L: list(edge_list_lines(L))]
         if d >= 2:
             calls += [lambda L, s=s, c=c: restrict(L, s, c)
                       for s in range(1, d + 2) for c in range(n)]

@@ -7,6 +7,8 @@ from latinop import (
     CellSet,
     GraphStats,
     LatinOp,
+    RawOp,
+    ValidationError,
     graph_of,
     graph_stats,
     hypercube_graph,
@@ -91,6 +93,18 @@ def test_d3_graphs_construct_and_match_oracle():
 def test_edge_list_export():
     lines = list(edge_list_lines(graph_of(LatinOp(2, 2, (0, 1, 1, 0)))))
     assert lines == ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"]
+
+
+def test_graph_of_every_hypercube_form():
+    # a LatinOp or a Latin RawOp has the graph of its CellSet; a RawOp
+    # that is not Latin is refused at the gate
+    table = cyclic_table(3)
+    forms = (graph_of(LatinOp(3, 2, table)), LatinOp(3, 2, table), RawOp(3, 2, table))
+    for view in (hypercube_graph, lambda L: list(edge_list_lines(L)), graph_stats):
+        assert view(forms[0]) == view(forms[1]) == view(forms[2])
+    for view in (hypercube_graph, edge_list_lines):
+        with pytest.raises(ValidationError, match="not Latin"):
+            view(RawOp(3, 2, TWO_SHARED))
 
 
 def test_vertices_are_lexicographic_cells():

@@ -24,7 +24,7 @@ from latinop import (
     random_latin,
 )
 
-from latinop.enumeration import _orbit, _reduced_masks, _search
+from latinop.enumeration import _layers, _orbit, _reduced_masks, _search
 from oracles import (
     count_by_generate_and_test,
     count_cubes_layered,
@@ -76,9 +76,26 @@ COUNTED_SHAPES = sorted(
 
 
 def test_reduced_count_equals_plain_kernel_leaf_count():
-    # count_all searches reduced tables only; enumerate_all visits every table
+    # count_all searches reduced tables only; enumerate_all stacks layers
+    # under the layer budget and yields the plain kernel's tables in order
     for n, d in COUNTED_SHAPES:
-        assert count_all(n, d) == sum(1 for _ in enumerate_all(n, d)), (n, d)
+        plain = map(tuple, _search(n, d))
+        count = 0
+        for op in enumerate_all(n, d):
+            assert op.table == next(plain), (n, d, count)
+            count += 1
+        assert next(plain, None) is None, (n, d)
+        assert count_all(n, d) == count, (n, d)
+
+
+def test_layer_budget_switch_keeps_the_order():
+    # over the budget enumerate_all searches cell by cell from the start,
+    # so its first tables come at once and in the same order
+    assert _layers(4, 3) is not None and _layers(5, 2) is not None
+    for n, d in [(8, 2), (9, 2), (5, 3), (4, 4)]:
+        assert _layers(n, d) is None, (n, d)
+        tables = [op.table for op in itertools.islice(enumerate_all(n, d), 201)]
+        assert tables == [tuple(t) for t in itertools.islice(_search(n, d), 201)], (n, d)
 
 
 def test_reduced_search_finds_exactly_the_reduced_tables():
@@ -117,6 +134,8 @@ def test_deep_shapes_need_no_recursion():
     for n, d in [(4, 5), (2, 10)]:
         op = random_latin(n, d, seed=3)
         assert (op.n, op.d) == (n, d) and is_latin(op)
+    # the layer lists are built one arity at a time, to any arity
+    assert [op.table for op in enumerate_all(1, 3000, ceiling=2 ** 3000)] == [(0,)]
 
 
 # Seeded outputs are part of the contract: a seed must keep giving the

@@ -24,7 +24,7 @@ from latinop.cli import main
 from latinop.core import _trusted
 from latinop.enumeration import enumerate_all
 
-from oracles import cyclic_table
+from oracles import cyclic_table, emit_lhc_rowwise
 from test_cellgraph import TWO_SHARED
 from test_cellset import FILES
 
@@ -73,6 +73,19 @@ def test_round_trip_random_tables(n, d, rnd):
     table = tuple(rnd.randrange(n) for _ in range(n ** d))
     op = RawOp(n, d, table)
     assert parse_lhc(emit_lhc(op)) == op
+
+
+def test_emit_lhc_matches_rowwise_join():
+    ops = [
+        RawOp(3, 2, TWO_SHARED),  # not Latin
+        RawOp(1, 4, (0,)),
+        RawOp(5, 1, (3, 0, 4, 1, 2)),
+        LatinOp(12, 2, cyclic_table(12)),  # two-digit symbols
+        RawOp(11, 2, tuple(v * 7 % 11 for v in range(121))),
+        graph_of(LatinOp(10, 3, cyclic_table(10, 3))),
+    ]
+    for op in ops:
+        assert emit_lhc(op) == emit_lhc_rowwise(op)
 
 
 def test_parse_error_positions():
