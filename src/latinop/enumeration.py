@@ -31,6 +31,9 @@ DEFAULT_GROUP_CEILING = 100_000
 # most this, built per call so that none stays in memory; beyond it,
 # enumerate_all searches cell by cell
 LAYER_BUDGET = 10 ** 5
+# random_latin refuses after this many backtracks: (5,4) seeds take at
+# most about 4 * 10^5 nodes, while (6,3) rarely completes at all
+RANDOM_BUDGET = 5 * 10 ** 5
 
 
 @functools.cache
@@ -57,12 +60,12 @@ def _reduced_masks(n: int, d: int) -> tuple:
     )
 
 
-def _search(n: int, d: int, value_order=None, allowed=None):
+def _search(n: int, d: int, allowed=None, rng=None, budget=None):
     """Yield every Latin table of order n and arity d whose cell m holds
     a value of the bitmask allowed[m] (any value when allowed is None):
-    in lexicographic order, or trying the values of each cell m in the
-    order value_order(m) gives, which is called once per entry into the
-    cell.
+    in lexicographic order, or, given the random.Random ``rng``, trying
+    each cell's candidates in a random order, one drawn per try.  Given
+    a budget, raise CeilingError on the budget-th backtrack.
 
     Depth-first over the cells in table order on an explicit stack, with
     one bitmask of used values per line.  Only the first n^d - n^(d-1)
@@ -84,19 +87,19 @@ def _search(n: int, d: int, value_order=None, allowed=None):
         allowed = (full,) * free
     masks = [0] * (d * width)
     rest = [None] * free  # per searched cell below m: candidates not tried
+    left = budget
     m = 0  # avail holds the untried candidates of cell m
     avail = allowed[0]
-    if value_order is not None:
-        avail = [v for v in value_order(0)[::-1] if avail >> v & 1]
     while True:
         if avail:
-            if value_order is None:
-                bit = avail & -avail
-                avail ^= bit
-                table[m] = bit.bit_length() - 1
-            else:
-                table[m] = avail.pop()
-                bit = 1 << table[m]
+            bit = avail & -avail
+            if rng is not None and avail != bit:  # the k-th candidate
+                higher = avail
+                for _ in range(int(rng.random() * avail.bit_count())):
+                    higher ^= bit
+                    bit = higher & -higher
+            avail ^= bit
+            table[m] = bit.bit_length() - 1
             lines = line_of[m]
             for i in lines:
                 masks[i] |= bit
@@ -107,8 +110,6 @@ def _search(n: int, d: int, value_order=None, allowed=None):
                 for i in line_of[m]:
                     used |= masks[i]
                 avail = allowed[m] & ~used
-                if value_order is not None:
-                    avail = [v for v in value_order(m)[::-1] if avail >> v & 1]
                 continue
             table[free:] = [(full ^ used).bit_length() - 1 for used in masks[:width]]
             yield table
@@ -116,6 +117,12 @@ def _search(n: int, d: int, value_order=None, allowed=None):
             m -= 1
             if m < 0:
                 return
+            if left is not None:
+                left -= 1
+                if not left:
+                    raise CeilingError(
+                        f"no table found within the budget of {budget} backtracks"
+                    )
             avail = rest[m]
             lines = line_of[m]
             bit = 1 << table[m]
@@ -199,19 +206,15 @@ def count_all(n: int, d: int, ceiling: int | None = None) -> int:
 
 
 def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> LatinOp:
-    """First completion of a randomized backtracking fill.
+    """First completion of a randomized backtracking fill: each try at a
+    cell draws one of its untried candidates.
 
     Deterministic given the seed; not uniform over all Latin operations.
+    Raises CeilingError after RANDOM_BUDGET backtracks without one.
     """
     _check_cells(n, d, ceiling)
-    rng = random.Random(seed)
-
-    def value_order(_m):
-        order = list(range(n))
-        rng.shuffle(order)
-        return order
-
-    return _trusted(LatinOp, n=n, d=d, table=tuple(next(_search(n, d, value_order))))
+    tables = _search(n, d, rng=random.Random(seed), budget=RANDOM_BUDGET)
+    return _trusted(LatinOp, n=n, d=d, table=tuple(next(tables)))
 
 
 @dataclass(frozen=True)

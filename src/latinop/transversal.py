@@ -17,6 +17,7 @@ from .core import (
     _check_cell_shapes,
     _check_int,
     _first_bad,
+    _int_in,
     _trusted,
     cell_ceiling,
     encode,
@@ -38,6 +39,10 @@ class Transversal:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
         n, d = self.n, self.d
+        if not (_int_in(n, 0) and _int_in(d, 0)):
+            raise ValidationError(
+                f"transversal order and dimension must be ints >= 0, got {n!r} and {d!r}"
+            )
         if len(self.cells) != n:
             raise ValidationError(
                 f"transversal has {len(self.cells)} cells, expected {n}"
@@ -231,6 +236,8 @@ def delta_check(T: Transversal, n: int | None = None) -> DeltaReport:
     """
     if n is None:
         n = T.n
+    if not _int_in(n, 0):
+        raise ValidationError(f"carrier order must be an int >= 0, got {n!r}")
     if n != T.n:
         raise ValidationError(f"carrier mismatch: {n} != {T.n}")
     cols = list(zip(*T.cells))  # entries validated at construction

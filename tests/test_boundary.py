@@ -9,6 +9,7 @@ import pytest
 from latinop import (
     CeilingError,
     CellSet,
+    DeltaReport,
     LatinOp,
     Paratopism,
     RawOp,
@@ -25,6 +26,7 @@ from latinop import (
     conjugate,
     count_all,
     count_transversals,
+    delta_check,
     enumerate_all,
     find_transversals,
     graph_of,
@@ -67,10 +69,15 @@ ENTRY_POINTS = {
     "is_latin_cellset cell": (lambda v: is_latin_cellset([(0, v), (v, 0)], 2, 1), 2, True),
     "Transversal cell": (lambda v: Transversal(2, 1, [(0, v), (v, 0)]).cells, 2,
                          ((0, 1), (1, 0))),
+    "Transversal order": (lambda v: Transversal(v, 1, [(0, 0)]).cells, -1, ((0, 0),)),
+    "Transversal dimension": (lambda v: Transversal(2, v, [(0, 1), (1, 0)]).cells, -1,
+                              ((0, 1), (1, 0))),
+    "delta_check order": (lambda v: delta_check(Transversal(1, 1, [(0, 0)]), v), -1,
+                          DeltaReport(computed=0, expected=0)),
     "count_all order": (lambda v: count_all(v, 2), 0, 1),
     "count_all arity": (lambda v: count_all(2, v), 0, 2),
     "enumerate_all order": (lambda v: list(enumerate_all(v, 1)), 0, [LatinOp(1, 1, (0,))]),
-    "random_latin arity": (lambda v: random_latin(2, v), 0, LatinOp(2, 1, (0, 1))),
+    "random_latin arity": (lambda v: random_latin(2, v), 0, LatinOp(2, 1, (1, 0))),
     "orbit_census arity": (lambda v: len(orbit_census(2, v)), 0, 1),
     "alternating_sum entry": (lambda v: alternating_sum((0, v), 2), 2, 1),
     "is_homomorphism map value": (lambda v: is_homomorphism((0, v), IDENTITY, IDENTITY), 2,

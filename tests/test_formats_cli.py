@@ -248,6 +248,13 @@ def test_enumerate_ceiling_exits_3(capsys):
     assert main(["enumerate", "--n", "10", "--d", "2", "--cell-ceiling", "5"]) == 3
 
 
+def test_random_over_the_budget_exits_3_or_0():
+    argv, env = cli_argv(["random", "--n", "6", "--d", "3", "--seed", "1"])
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr
+
+
 def test_ceiling_env_not_a_positive_integer_exits_2(monkeypatch, capsys):
     for value in ("abc", "0", "-5", "1e3", "9" * 5000):
         monkeypatch.setenv("LATINOP_CELL_CEILING", value)

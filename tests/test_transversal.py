@@ -56,8 +56,8 @@ def test_canonical_order_and_limit():
 
 
 # n <= 6 and d <= 4 where the brute-force scan of (n!)^(d-1) choices
-# stays small; (6, 3) is left out because random_latin(6, 3) runs for
-# minutes
+# stays small; (6, 3) is left out because random_latin(6, 3) is refused
+# by the budget
 KERNEL_SHAPES = [(n, d) for d in (1, 2) for n in range(1, 7)] + [
     (n, d) for d in (3, 4) for n in range(1, 9 - d)
 ]
