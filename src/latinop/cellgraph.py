@@ -13,7 +13,7 @@ import collections
 import math
 from dataclasses import dataclass
 
-from .core import CeilingError, CellSet, _latin, _trusted, cell_ceiling
+from .core import CeilingError, CellSet, _cells, _latin, cell_ceiling
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,6 @@ def hypercube_graph(L: CellSet) -> HypercubeGraph:
     """The graph of L, or of a Latin RawOp."""
     L = _cells(L)
     return HypercubeGraph(vertices=L.sorted_cells(), edges=tuple(_edges(L)))
-
-
-def _cells(L) -> CellSet:
-    """L, a hypercube or a Latin RawOp, as a CellSet: through the Latin gate."""
-    return _trusted(CellSet, n=L.n, d=L.d, table=_latin(L).table)
 
 
 def _edges(L: CellSet):

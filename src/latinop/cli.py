@@ -20,8 +20,6 @@ from .core import (
     ValidationError,
     _latin,
     conjugate,
-    function_of,
-    graph_of,
     is_latin,
 )
 from .enumeration import (
@@ -32,7 +30,7 @@ from .enumeration import (
     random_latin,
 )
 from .formats import _separated, emit_lhc, emit_tsv, parse_lhc, parse_tsv
-from .morphisms import DEFAULT_AUTO_CEILING, automorphisms
+from .morphisms import automorphisms
 from .operad import SlotPermutation, act, compose_at, verify_operad_axioms
 from .pullback import pullback_compose, restrict
 from .transversal import _transversals, count_transversals, delta_check
@@ -112,8 +110,7 @@ def cmd_act(args):
 
 def cmd_restrict(args):
     f = _load_latin(args.file)
-    result = restrict(graph_of(f), args.slot, args.value)
-    sys.stdout.write(emit_lhc(function_of(result)))
+    sys.stdout.write(emit_lhc(restrict(f, args.slot, args.value)))
     return 0
 
 
@@ -138,10 +135,10 @@ def cmd_random(args):
 def cmd_transversals(args):
     f = _load_latin(args.file)
     if args.count:
-        print(f"transversals: {count_transversals(graph_of(f), args.limit)}")
+        print(f"transversals: {count_transversals(f, args.limit)}")
         return 0
     found = 0
-    for record in _separated(map(emit_tsv, _transversals(graph_of(f), args.limit))):
+    for record in _separated(map(emit_tsv, _transversals(f, args.limit))):
         sys.stdout.write(record)
         found += 1
     print(f"transversals: {found}", file=sys.stderr)
@@ -160,8 +157,7 @@ def cmd_delta(args):
 
 def cmd_canon(args):
     f = _load_latin(args.file)
-    canon = canonical_form(graph_of(f), args.group_ceiling)
-    sys.stdout.write(emit_lhc(function_of(canon)))
+    sys.stdout.write(emit_lhc(canonical_form(f, args.group_ceiling)))
     return 0
 
 
@@ -177,13 +173,12 @@ def cmd_orbits(args):
 
 def cmd_graph(args):
     f = _load_latin(args.file)
-    L = graph_of(f)
     if args.edges is not None:
-        lines = edge_list_lines(L)  # refused over the ceiling before out opens
+        lines = edge_list_lines(f)  # refused over the ceiling before out opens
         with _output(args.edges) as out:
             out.writelines(line + "\n" for line in lines)
         return 0
-    stats = graph_stats(L)
+    stats = graph_stats(f)
     print(f"vertices: {stats.vertices}")
     print(f"edges: {stats.edges}")
     print("regular: true")  # the graph of a Latin hypercube is regular
@@ -208,9 +203,8 @@ def cmd_autos(args):
 
 
 def cmd_pullback_compose(args):
-    L = graph_of(_load_latin(args.f))
-    M = graph_of(_load_latin(args.g))
-    sys.stdout.write(emit_lhc(function_of(pullback_compose(L, M, args.slot))))
+    f, g = _load_latin(args.f), _load_latin(args.g)
+    sys.stdout.write(emit_lhc(pullback_compose(f, g, args.slot)))
     return 0
 
 
@@ -309,7 +303,7 @@ def build_parser():
 
     p = sub.add_parser("autos", help="automorphisms of an operation")
     p.add_argument("file")
-    p.add_argument("--ceiling", type=int, default=DEFAULT_AUTO_CEILING)
+    p.add_argument("--ceiling", type=int, default=None)
     p.set_defaults(func=cmd_autos)
 
     p = sub.add_parser("pullback-compose", help="composition via the cell-set join")

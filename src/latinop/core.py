@@ -48,10 +48,11 @@ def _check_shape(n: int, d: int, word: str = "arity") -> None:
         raise ValidationError(f"{word} must be >= 1, got {d}")
 
 
-def _check_int(v, word: str) -> None:
-    """Raise ValidationError unless v, named ``word``, is an int proper."""
-    if not _int_in(v, -math.inf):
-        raise ValidationError(f"{word} must be an int, got {v!r}")
+def _check_perm(p: tuple, lo: int, hi: int) -> None:
+    """Raise ValidationError unless p is a permutation of lo..hi, hi >= lo an int."""
+    if (not _int_in(hi, lo) or len(p) != hi - lo + 1 or _first_bad(p, lo, hi + 1) is not None
+            or sorted(p) != list(range(lo, hi + 1))):
+        raise ValidationError(f"{p} is not a permutation of {lo}..{hi}")
 
 
 def _check_slot(s: int, top: int) -> None:
@@ -68,20 +69,26 @@ def cell_ceiling() -> int:
         ceiling = int(value) if value.strip().isdecimal() else 0
     except ValueError:  # more digits than int() converts
         ceiling = 0
-    if ceiling < 1:
-        raise ValidationError(
-            f"LATINOP_CELL_CEILING must be a positive integer, got {value!r}"
-        )
-    return ceiling
+    # 0 when the text is no positive decimal: then the text is refused, quoted
+    return _ceiling(ceiling or value, "LATINOP_CELL_CEILING")
+
+
+def _ceiling(v, word: str, default: int | None = None) -> int:
+    """The ceiling v, named ``word``, an int >= 1 whether given as an
+    argument or in the environment; for None, ``default`` or else
+    LATINOP_CELL_CEILING."""
+    if v is None:
+        return default or cell_ceiling()
+    if not _int_in(v, 1):
+        raise ValidationError(f"{word} must be a positive integer, got {v!r}")
+    return v
 
 
 def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
     """n ** d, the cell count of an order-n, arity-d table, after
     checking it against the ceiling (LATINOP_CELL_CEILING by default)."""
     _check_shape(n, d)
-    if ceiling is None:
-        ceiling = cell_ceiling()
-    _check_int(ceiling, "cell ceiling")
+    ceiling = _ceiling(ceiling, "cell ceiling")
     # n^d >= 2^(d * (bit_length(n) - 1)): a huge claim is refused before
     # n^d is formed, so no power much beyond the ceiling squared is built
     if d * (n.bit_length() - 1) > ceiling.bit_length() or n ** d > ceiling:
@@ -121,11 +128,8 @@ class SlotPermutation:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        d, perm = self.d, tuple(self.perm)
-        object.__setattr__(self, "perm", perm)
-        if (not _int_in(d, 1) or len(perm) != d or _first_bad(perm, 1, d + 1) is not None
-                or sorted(perm) != list(range(1, d + 1))):
-            raise ValidationError(f"{perm} is not a permutation of 1..{d}")
+        object.__setattr__(self, "perm", tuple(self.perm))
+        _check_perm(self.perm, 1, self.d)
 
     @classmethod
     def identity(cls, d: int) -> "SlotPermutation":
@@ -138,13 +142,11 @@ class SlotPermutation:
         """self after other: (self.compose(other))(k) = self(other(k))."""
         if self.d != other.d:
             raise ValidationError("degree mismatch in permutation composition")
-        return SlotPermutation(self.d, tuple(self(other(k)) for k in range(1, self.d + 1)))
+        return _trusted(SlotPermutation, d=self.d, perm=tuple(map(self, other.perm)))
 
     def inverse(self) -> "SlotPermutation":
-        inv = [0] * self.d
-        for k in range(1, self.d + 1):
-            inv[self(k) - 1] = k
-        return SlotPermutation(self.d, tuple(inv))
+        perm = tuple(sorted(range(1, self.d + 1), key=self))  # k at position self(k)
+        return _trusted(SlotPermutation, d=self.d, perm=perm)
 
 
 def _paratope(n: int, d: int, slot_perm, symbol_perms):
@@ -356,17 +358,24 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _cells(f: RawOp | CellSet) -> CellSet:
+    """f, a hypercube or a Latin RawOp, as a CellSet: through the Latin gate.
+    The Latin property of a table is exactly the cell-set invariant."""
+    if isinstance(f, CellSet):
+        return f
+    return _trusted(CellSet, n=f.n, d=f.d, table=_latin(f).table)
+
+
 def graph_of(f: LatinOp) -> CellSet:
     """The cell set {(x_1..x_d, f(x_1..x_d))}."""
     if not isinstance(f, LatinOp):
         raise ValidationError("graph_of expects a verified LatinOp")
-    # the Latin property of f is exactly the cell-set invariant
-    return _trusted(CellSet, n=f.n, d=f.d, table=f.table)
+    return _cells(f)
 
 
 def function_of(L: CellSet) -> LatinOp:
-    """The unique LatinOp whose graph is L (inverse of graph_of)."""
-    return _trusted(LatinOp, n=L.n, d=L.d, table=L.table)
+    """The LatinOp whose graph is L (inverse of graph_of); a RawOp must be Latin."""
+    return _trusted(LatinOp, n=L.n, d=L.d, table=_latin(L).table)
 
 
 def _slot_move(f: RawOp, slot_perm) -> LatinOp:

@@ -14,12 +14,11 @@ from .core import (
     CeilingError,
     CellSet,
     LatinOp,
-    SlotPermutation,
     ValidationError,
+    _ceiling,
     _check_cells,
-    _check_int,
+    _check_perm,
     _check_shape,
-    _first_bad,
     _latin,
     _paratope,
     _trusted,
@@ -232,16 +231,16 @@ class Paratopism:
     symbol_perms: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "slot_perm", tuple(self.slot_perm))
         k = len(self.slot_perm)
-        object.__setattr__(self, "slot_perm", SlotPermutation(k, self.slot_perm).perm)
+        _check_perm(self.slot_perm, 1, k)
         perms = tuple(tuple(p) for p in self.symbol_perms)
         object.__setattr__(self, "symbol_perms", perms)
         if len(perms) != k:
             raise ValidationError(f"expected {k} symbol permutations, got {len(perms)}")
         _check_shape(len(perms[0]), self.d, "dimension")
         for p in perms:
-            if _first_bad(p, 0, self.n) is not None or sorted(p) != list(range(self.n)):
-                raise ValidationError(f"{p} is not a permutation of 0..{self.n - 1}")
+            _check_perm(p, 0, self.n - 1)
 
     @property
     def d(self) -> int:
@@ -270,11 +269,12 @@ class Paratopism:
         """self after other, as actions on cells."""
         if self.n != other.n:
             raise ValidationError(f"order mismatch: {self.n} != {other.n}")
-        slots = SlotPermutation(self.d + 1, self.slot_perm).compose(
-            SlotPermutation(other.d + 1, other.slot_perm))
-        perms = [tuple(self.symbol_perms[t - 1][x] for x in p)
-                 for t, p in zip(other.slot_perm, other.symbol_perms)]
-        return Paratopism(slots.perm, perms)
+        if self.d != other.d:
+            raise ValidationError("degree mismatch in permutation composition")
+        slots = tuple(self.slot_perm[t - 1] for t in other.slot_perm)
+        perms = tuple(tuple(self.symbol_perms[t - 1][x] for x in p)
+                      for t, p in zip(other.slot_perm, other.symbol_perms))
+        return _trusted(Paratopism, slot_perm=slots, symbol_perms=perms)
 
 
 def apply_paratopism(p: Paratopism, L: CellSet) -> CellSet:
@@ -316,9 +316,7 @@ def _orbit(n: int, d: int, table) -> set:
 
 
 def _check_group_ceiling(n: int, d: int, ceiling: int | None) -> None:
-    if ceiling is None:
-        ceiling = DEFAULT_GROUP_CEILING
-    _check_int(ceiling, "group ceiling")
+    ceiling = _ceiling(ceiling, "group ceiling", DEFAULT_GROUP_CEILING)
     order = paratopism_group_order(n, d)
     if order > ceiling:
         raise CeilingError(

@@ -81,7 +81,7 @@ def _record(toks) -> RawOp:
 
 
 def emit_lhc(op: RawOp) -> str:
-    """Serialize an operation; one line of n symbols per innermost row,
+    """Serialize an operation or a hypercube; one line of n symbols per innermost row,
     formatted in one operation from a row template built per call."""
     row = " ".join(["%s"] * op.n) + "\n"
     return f"{op.n} {op.d}\n" + row * (len(op.table) // op.n) % op.table

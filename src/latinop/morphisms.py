@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import CeilingError, LatinOp, ValidationError, _check_int, _first_bad
+from .core import CeilingError, LatinOp, ValidationError, _ceiling, _first_bad
 
 DEFAULT_AUTO_CEILING = 8
 
@@ -40,14 +40,14 @@ def _preserves(iota, g: LatinOp, f: LatinOp) -> bool:
     return True
 
 
-def automorphisms(f: LatinOp, ceiling: int = DEFAULT_AUTO_CEILING) -> list:
+def automorphisms(f: LatinOp, ceiling: int | None = None) -> list:
     """All carrier bijections iota with iota o f = f o iota^(x d).
 
     Returned in lexicographic one-line-notation order; the result is a
     subgroup of the symmetric group (asserted).
     """
     n = f.n
-    _check_int(ceiling, "automorphism-scan ceiling")
+    ceiling = _ceiling(ceiling, "automorphism-scan ceiling", DEFAULT_AUTO_CEILING)
     if n > ceiling:
         raise CeilingError(
             f"carrier order {n} exceeds the automorphism-scan ceiling {ceiling}"

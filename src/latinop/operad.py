@@ -27,6 +27,7 @@ from .core import (
     _trusted,
     cell_ceiling,
 )
+from .enumeration import enumerate_all, random_latin
 
 
 def unit(n: int) -> LatinOp:
@@ -79,7 +80,7 @@ def compose_perm_at(sigma: SlotPermutation, tau: SlotPermutation, i: int) -> Slo
             out.extend(i - 1 + t for t in tau.perm)
         else:
             out.append(v if v < i else v + e - 1)
-    return SlotPermutation(d + e - 1, tuple(out))
+    return _trusted(SlotPermutation, d=d + e - 1, perm=tuple(out))
 
 
 def block_permutation(sigma: SlotPermutation, i: int, e: int) -> SlotPermutation:
@@ -128,8 +129,6 @@ class OperadReport:
 
 
 def _pools(n, max_degree, sample_budget, seed):
-    from .enumeration import enumerate_all, random_latin
-
     pools = {}
     exhaustive = {}
     for deg in range(1, max_degree + 1):
@@ -230,7 +229,8 @@ def verify_operad_axioms(
         return _paratope(n, len(perm), (*perm, len(perm) + 1), (range(n),) * (len(perm) + 1))
 
     perms = {
-        deg: [SlotPermutation(deg, p) for p in itertools.permutations(range(1, deg + 1))]
+        deg: [_trusted(SlotPermutation, d=deg, perm=p)
+              for p in itertools.permutations(range(1, deg + 1))]
         for deg in pools
     }
     equi = AxiomResult("equivariance")

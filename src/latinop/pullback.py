@@ -7,6 +7,7 @@ from __future__ import annotations
 from .core import (
     CellSet,
     ValidationError,
+    _cells,
     _check_composable,
     _check_slot,
     _int_in,
@@ -23,7 +24,7 @@ def projection_tau(t: tuple, s: int) -> tuple:
 
 
 def pullback_compose(L: CellSet, M: CellSet, i: int) -> CellSet:
-    """Join L and M on the substituted coordinate.
+    """Join L and M, hypercubes or Latin RawOps, on the substituted coordinate.
 
     A (d+e)-tuple belongs to the result iff there is a z with
     (x_1..x_{i-1}, z, x_{e+i}..x_{d+e}) in L and (x_i..x_{e+i-1}, z) in M;
@@ -31,6 +32,7 @@ def pullback_compose(L: CellSet, M: CellSet, i: int) -> CellSet:
     table-level composition at slot i.
     """
     _check_composable(L, M, i)
+    L, M = _cells(L), _cells(M)
     # bucket M by its output (last-slot) value
     buckets = [[] for _ in range(M.n)]
     for m in M.cells:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .core import (
     CellSet,
     ValidationError,
     _check_cell_shapes,
-    _check_int,
     _first_bad,
     _int_in,
     _trusted,
@@ -166,7 +166,8 @@ def _none_asked(limit: int | None) -> bool:
     """True iff ``limit``, an int or None for no limit, asks for no result."""
     if limit is None:
         return False
-    _check_int(limit, "limit")
+    if not _int_in(limit, -math.inf):
+        raise ValidationError(f"limit must be an int, got {limit!r}")
     return limit <= 0
 
 

@@ -29,6 +29,7 @@ from latinop import (
     delta_check,
     enumerate_all,
     find_transversals,
+    function_of,
     graph_of,
     graph_stats,
     hypercube_graph,
@@ -56,7 +57,8 @@ Z3 = LatinOp(3, 2, (0, 1, 2, 1, 2, 0, 2, 0, 1))  # x + y mod 3
 # out-of-range int, or 2.5 where every int is in range, the result when v
 # is the int 1 or the error it raises past the int rule); True and 1.0
 # compare equal to 1, so only the rule that a value is an int proper
-# refuses them
+# refuses them.  A ceiling is an int >= 1, from an argument as from the
+# environment, so 0 is refused, not taken as a ceiling nothing fits under
 ENTRY_POINTS = {
     "RawOp order": (lambda v: RawOp(v, 1, (0,)), 0, RawOp(1, 1, (0,))),
     "RawOp arity": (lambda v: RawOp(2, v, (0, 1)), 0, RawOp(2, 1, (0, 1))),
@@ -97,12 +99,12 @@ ENTRY_POINTS = {
     "conjugate slot": (lambda v: conjugate(XOR, v), 4, XOR),
     "projection_tau slot": (lambda v: projection_tau((5, 7), v), 3, (7,)),
     "verify_operad_axioms degree": (lambda v: verify_operad_axioms(2, v).ok, 0, True),
-    "count_all ceiling": (lambda v: count_all(1, 1, ceiling=v), 2.5, 1),
-    "enumerate_all ceiling": (lambda v: list(enumerate_all(1, 1, ceiling=v)), 2.5,
+    "count_all ceiling": (lambda v: count_all(1, 1, ceiling=v), 0, 1),
+    "enumerate_all ceiling": (lambda v: list(enumerate_all(1, 1, ceiling=v)), 0,
                               [LatinOp(1, 1, (0,))]),
-    "canonical_form ceiling": (lambda v: canonical_form(graph_of(IDENTITY), v), 2.5,
+    "canonical_form ceiling": (lambda v: canonical_form(graph_of(IDENTITY), v), 0,
                                CeilingError),
-    "automorphisms ceiling": (lambda v: automorphisms(LatinOp(1, 1, (0,)), v), 2.5, [(0,)]),
+    "automorphisms ceiling": (lambda v: automorphisms(LatinOp(1, 1, (0,)), v), 0, [(0,)]),
     "find_transversals limit": (lambda v: find_transversals(graph_of(Z3), v), 2.5,
                                 [Transversal(3, 2, ((0, 0, 0), (1, 1, 2), (2, 2, 1)))]),
     "count_transversals limit": (lambda v: count_transversals(graph_of(Z3), v), 2.5, 1),
@@ -131,8 +133,11 @@ def test_latin_gate_on_raw_input():
     # gives; restriction refuses dimension 1 before it looks at the table
     for n, d in ((2, 1), (3, 1), (2, 2), (3, 2)):
         p = Paratopism.random(n, d, random.Random(10 * n + d))
+        shift = graph_of(LatinOp(n, 1, tuple((x + 1) % n for x in range(n))))
         calls = [lambda L: apply_paratopism(p, L), canonical_form, graph_stats,
-                 hypercube_graph, lambda L: list(edge_list_lines(L))]
+                 hypercube_graph, lambda L: list(edge_list_lines(L)), function_of,
+                 lambda L: pullback_compose(L, shift, d),
+                 lambda L: pullback_compose(shift, L, 1)]
         if d >= 2:
             calls += [lambda L, s=s, c=c: restrict(L, s, c)
                       for s in range(1, d + 2) for c in range(n)]

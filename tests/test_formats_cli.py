@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import latinop
 from latinop import (
-    CellSet,
     FormatError,
     LatinOp,
     RawOp,
@@ -263,6 +262,28 @@ def test_ceiling_env_not_a_positive_integer_exits_2(monkeypatch, capsys):
         assert "LATINOP_CELL_CEILING" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_ceiling_flags_not_a_positive_integer_exit_2(tmp_path, capsys, value):
+    # a ceiling argument has the rule of LATINOP_CELL_CEILING: not an int
+    # >= 1 is an input error (2), not a request refused by a ceiling (3)
+    path = write(tmp_path, "f.lhc", ADD3)
+    shape = ["--n", "3", "--d", "2"]
+    runs = [["enumerate", *shape, "--cell-ceiling", value],
+            ["enumerate", *shape, "--stream", "-", "--cell-ceiling", value],
+            ["random", *shape, "--cell-ceiling", value],
+            ["orbits", *shape, "--cell-ceiling", value],
+            ["orbits", *shape, "--group-ceiling", value],
+            ["canon", path, "--group-ceiling", value],
+            ["autos", path, "--ceiling", value]]
+    for argv in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"must be a positive integer, got {value}" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def assert_refused(argv, capsys):
     assert main(argv) in (2, 3)
     assert "Traceback" not in capsys.readouterr().err
@@ -469,8 +490,8 @@ def test_graph_edges_written_as_found(tmp_path, monkeypatch, capsys):
     # a table that trips the d-share guard at vertex 4: the edges of
     # vertex 0 are on stdout before the stream fails
     path = write(tmp_path, "f.lhc", ADD3)
-    bad = _trusted(CellSet, n=3, d=2, table=TWO_SHARED)
-    monkeypatch.setattr("latinop.cli.graph_of", lambda f: bad)
+    bad = _trusted(LatinOp, n=3, d=2, table=TWO_SHARED)
+    monkeypatch.setattr("latinop.cli._load_latin", lambda path: bad)
     with pytest.raises(AssertionError):
         main(["graph", path, "--edges", "-"])
     assert capsys.readouterr().out.startswith("0 1\n0 2\n0 3\n0 5\n0 6\n")

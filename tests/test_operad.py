@@ -198,6 +198,8 @@ def test_slot_permutation_validation():
         SlotPermutation(2, (1, 1))
     with pytest.raises(ValidationError):
         SlotPermutation(3, (0, 1, 2))
+    with pytest.raises(ValidationError):  # the length refuses it before 1..d is built
+        SlotPermutation(10 ** 12, (1,))
 
 
 @pytest.mark.parametrize("perm", [(2.0, 1), (2, 1.0), (True, 2), (2, True)])
