@@ -13,27 +13,16 @@ import os
 import sys
 
 from . import __version__
-from .cellgraph import edge_list_lines, graph_stats
 from .core import (
     CeilingError,
     LatinOp,
+    SlotPermutation,
     ValidationError,
     _latin,
     conjugate,
     is_latin,
 )
-from .enumeration import (
-    canonical_form,
-    count_all,
-    enumerate_all,
-    orbit_census,
-    random_latin,
-)
 from .formats import _separated, emit_lhc, emit_tsv, parse_lhc, parse_tsv
-from .morphisms import automorphisms
-from .operad import SlotPermutation, act, compose_at, verify_operad_axioms
-from .pullback import pullback_compose, restrict
-from .transversal import _transversals, count_transversals, delta_check
 
 
 def _read_text(path):
@@ -89,6 +78,7 @@ def cmd_check(args):
 
 
 def cmd_compose(args):
+    from .operad import compose_at
     f = _load_latin(args.f)
     g = _load_latin(args.g)
     sys.stdout.write(emit_lhc(compose_at(f, g, args.slot)))
@@ -102,6 +92,7 @@ def cmd_conjugate(args):
 
 
 def cmd_act(args):
+    from .operad import act
     f = _load_latin(args.file)
     sigma = _parse_perm(args.perm, f.d)
     sys.stdout.write(emit_lhc(act(sigma, f)))
@@ -109,12 +100,14 @@ def cmd_act(args):
 
 
 def cmd_restrict(args):
+    from .pullback import restrict
     f = _load_latin(args.file)
     sys.stdout.write(emit_lhc(restrict(f, args.slot, args.value)))
     return 0
 
 
 def cmd_enumerate(args):
+    from .enumeration import count_all, enumerate_all
     if args.stream is None:
         print(count_all(args.n, args.d, args.cell_ceiling))
         return 0
@@ -127,12 +120,14 @@ def cmd_enumerate(args):
 
 
 def cmd_random(args):
+    from .enumeration import random_latin
     op = random_latin(args.n, args.d, args.seed, args.cell_ceiling)
     sys.stdout.write(emit_lhc(op))
     return 0
 
 
 def cmd_transversals(args):
+    from .transversal import _transversals, count_transversals
     f = _load_latin(args.file)
     if args.count:
         print(f"transversals: {count_transversals(f, args.limit)}")
@@ -146,6 +141,7 @@ def cmd_transversals(args):
 
 
 def cmd_delta(args):
+    from .transversal import delta_check
     f = _load_latin(args.file)
     t = parse_tsv(_read_text(args.transversal), f.n, f.d)
     report = delta_check(t, f.n)
@@ -156,12 +152,14 @@ def cmd_delta(args):
 
 
 def cmd_canon(args):
+    from .enumeration import canonical_form
     f = _load_latin(args.file)
     sys.stdout.write(emit_lhc(canonical_form(f, args.group_ceiling)))
     return 0
 
 
 def cmd_orbits(args):
+    from .enumeration import orbit_census
     census = orbit_census(args.n, args.d, args.group_ceiling, args.cell_ceiling)
     sizes = sorted(census.values(), reverse=True)
     print(f"classes: {len(sizes)}")
@@ -172,6 +170,7 @@ def cmd_orbits(args):
 
 
 def cmd_graph(args):
+    from .cellgraph import edge_list_lines, graph_stats
     f = _load_latin(args.file)
     if args.edges is not None:
         lines = edge_list_lines(f)  # refused over the ceiling before out opens
@@ -187,6 +186,7 @@ def cmd_graph(args):
 
 
 def cmd_verify_operad(args):
+    from .operad import verify_operad_axioms
     report = verify_operad_axioms(args.n, args.max_degree, args.budget, args.seed)
     for line in report.lines():
         print(line)
@@ -194,6 +194,7 @@ def cmd_verify_operad(args):
 
 
 def cmd_autos(args):
+    from .morphisms import automorphisms
     f = _load_latin(args.file)
     autos = automorphisms(f, args.ceiling)
     for a in autos:
@@ -203,6 +204,7 @@ def cmd_autos(args):
 
 
 def cmd_pullback_compose(args):
+    from .pullback import pullback_compose
     f, g = _load_latin(args.f), _load_latin(args.g)
     sys.stdout.write(emit_lhc(pullback_compose(f, g, args.slot)))
     return 0

@@ -133,7 +133,7 @@ class SlotPermutation:
 
     @classmethod
     def identity(cls, d: int) -> "SlotPermutation":
-        return cls(d, tuple(range(1, d + 1)))
+        return cls(d, tuple(range(1, d + 1)) if _int_in(d, 1) else ())
 
     def __call__(self, k: int) -> int:
         return self.perm[k - 1]

@@ -252,10 +252,12 @@ class Paratopism:
 
     @classmethod
     def identity(cls, n: int, d: int) -> "Paratopism":
+        _check_shape(n, d, "dimension")
         return cls(tuple(range(1, d + 2)), tuple(tuple(range(n)) for _ in range(d + 1)))
 
     @classmethod
     def random(cls, n: int, d: int, rng: random.Random) -> "Paratopism":
+        _check_shape(n, d, "dimension")
         slots = list(range(1, d + 2))
         rng.shuffle(slots)
         perms = []

@@ -13,7 +13,6 @@ import operator
 import re
 
 from .core import RawOp, ValidationError, _check_cells, _trusted
-from .transversal import Transversal
 
 _TOKEN = re.compile(r"\S+")
 
@@ -111,6 +110,7 @@ def emit_lhcs(ops) -> str:
 
 def parse_tsv(text: str, n: int, d: int) -> Transversal:
     """Parse a transversal file: n lines, each a (d+1)-tuple."""
+    from .transversal import Transversal
     cells = []
     for lineno, toks in itertools.groupby(_tokens(text), operator.itemgetter(1)):
         toks = list(toks)

@@ -18,6 +18,7 @@ from .core import (
     ValidationError,
     _check_cells,
     _check_composable,
+    _check_shape,
     _check_slot,
     _int_in,
     _latin,
@@ -27,11 +28,11 @@ from .core import (
     _trusted,
     cell_ceiling,
 )
-from .enumeration import enumerate_all, random_latin
 
 
 def unit(n: int) -> LatinOp:
     """The identity map, the degree-1 operad unit."""
+    _check_shape(n, 1)
     return LatinOp(n, 1, tuple(range(n)))
 
 
@@ -129,6 +130,7 @@ class OperadReport:
 
 
 def _pools(n, max_degree, sample_budget, seed):
+    from .enumeration import enumerate_all, random_latin
     pools = {}
     exhaustive = {}
     for deg in range(1, max_degree + 1):
@@ -228,34 +230,34 @@ def verify_operad_axioms(
     def act_map(perm):
         return _paratope(n, len(perm), (*perm, len(perm) + 1), (range(n),) * (len(perm) + 1))
 
+    block = functools.cache(block_permutation)  # each built once per verification
+    embed = functools.cache(embed_permutation)
     perms = {
         deg: [_trusted(SlotPermutation, d=deg, perm=p)
               for p in itertools.permutations(range(1, deg + 1))]
         for deg in pools
     }
+    # acted[x][s] = act(perms[d][s], allops[x]) for d its degree, built once
+    acted = [[act_map(s.perm)(f.table) for s in perms[f.d]] for f in allops]
     equi = AxiomResult("equivariance")
     for x, f in enumerate(allops):
         d = f.d
         for y, g in enumerate(allops):
             e = g.d
-            for sigma in perms[d]:
-                sf = act_map(sigma.perm)(f.table)
+            for sigma, sf in zip(perms[d], acted[x]):
                 inv = sigma.inverse()
                 for k in range(1, d + 1):
                     # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
                     equi.checks += 1
                     lhs = _compose_table(n, d, sf, e, g.table, k)
-                    pi = block_permutation(sigma, k, e)
-                    if lhs != act_map(pi.perm)(comp[x, y, inv(k)]):
+                    if lhs != act_map(block(sigma, k, e).perm)(comp[x, y, inv(k)]):
                         equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}")
-            for tau in perms[e]:
-                tg = act_map(tau.perm)(g.table)
+            for tau, tg in zip(perms[e], acted[y]):
                 for i in range(1, d + 1):
                     # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g)
                     equi.checks += 1
                     lhs = _compose_table(n, d, f.table, e, tg, i)
-                    pi = embed_permutation(tau, i, d)
-                    if lhs != act_map(pi.perm)(comp[x, y, i]):
+                    if lhs != act_map(embed(tau, i, d).perm)(comp[x, y, i]):
                         equi.fail(f"inner f={f.table} g={g.table} tau={tau.perm} i={i}")
     report.results.append(equi)
     return report

@@ -27,6 +27,7 @@ from latinop import (
     count_all,
     count_transversals,
     delta_check,
+    embed_permutation,
     enumerate_all,
     find_transversals,
     function_of,
@@ -40,6 +41,7 @@ from latinop import (
     pullback_compose,
     random_latin,
     restrict,
+    unit,
     verify_operad_axioms,
 )
 
@@ -88,6 +90,12 @@ ENTRY_POINTS = {
     "restrict slot": (lambda v: restrict(graph_of(XOR), v, 0), 4, graph_of(IDENTITY)),
     "SlotPermutation degree": (lambda v: SlotPermutation(v, (1,)).perm, 0, (1,)),
     "SlotPermutation entry": (lambda v: SlotPermutation(2, (v, 2)).perm, 3, (1, 2)),
+    "SlotPermutation.identity degree": (lambda v: SlotPermutation.identity(v).perm, 0, (1,)),
+    "Paratopism.identity order": (lambda v: Paratopism.identity(v, 1).symbol_perms, 0,
+                                  ((0,), (0,))),
+    "Paratopism.random dimension": (lambda v: Paratopism.random(2, v, random.Random(0)).d, 0,
+                                    1),
+    "unit order": (lambda v: unit(v), 0, LatinOp(1, 1, (0,))),
     "Paratopism symbol": (lambda v: Paratopism((1, 2), ((0, v), (v, 0))).symbol_perms, 2,
                           ((0, 1), (1, 0))),
     "compose_at slot": (lambda v: compose_at(XOR, XOR, v), 3, XOR3),
@@ -96,6 +104,8 @@ ENTRY_POINTS = {
     "compose_perm_at slot": (lambda v: compose_perm_at(SWAP, SlotPermutation(1, (1,)), v).perm,
                              3, (2, 1)),
     "block_permutation degree": (lambda v: block_permutation(SWAP, 1, v).perm, 0, (2, 1)),
+    "embed_permutation degree": (lambda v: embed_permutation(SlotPermutation(1, (1,)), 1, v).perm,
+                                 0, (1,)),
     "conjugate slot": (lambda v: conjugate(XOR, v), 4, XOR),
     "projection_tau slot": (lambda v: projection_tau((5, 7), v), 3, (7,)),
     "verify_operad_axioms degree": (lambda v: verify_operad_axioms(2, v).ok, 0, True),
