@@ -253,7 +253,8 @@ class Paratopism:
     @classmethod
     def identity(cls, n: int, d: int) -> "Paratopism":
         _check_shape(n, d, "dimension")
-        return cls(tuple(range(1, d + 2)), tuple(tuple(range(n)) for _ in range(d + 1)))
+        return _trusted(cls, slot_perm=tuple(range(1, d + 2)),
+                        symbol_perms=(tuple(range(n)),) * (d + 1))
 
     @classmethod
     def random(cls, n: int, d: int, rng: random.Random) -> "Paratopism":
@@ -265,7 +266,7 @@ class Paratopism:
             p = list(range(n))
             rng.shuffle(p)
             perms.append(tuple(p))
-        return cls(tuple(slots), tuple(perms))
+        return _trusted(cls, slot_perm=tuple(slots), symbol_perms=tuple(perms))
 
     def compose(self, other: "Paratopism") -> "Paratopism":
         """self after other, as actions on cells."""

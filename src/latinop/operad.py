@@ -33,7 +33,7 @@ from .core import (
 def unit(n: int) -> LatinOp:
     """The identity map, the degree-1 operad unit."""
     _check_shape(n, 1)
-    return LatinOp(n, 1, tuple(range(n)))
+    return _trusted(LatinOp, n=n, d=1, table=tuple(range(n)))
 
 
 def _compose_table(n, d, ftab, e, gtab, i):
