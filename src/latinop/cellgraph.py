@@ -33,17 +33,18 @@ class GraphStats:
 
 def hypercube_graph(L: CellSet) -> HypercubeGraph:
     """The graph of L, or of a Latin RawOp."""
-    L = _cells(L)
-    return HypercubeGraph(vertices=L.sorted_cells(), edges=tuple(_edges(L)))
+    vertices, edges = _edges(_cells(L))
+    return HypercubeGraph(vertices=vertices, edges=tuple(edges))
 
 
 def _edges(L: CellSet):
-    """The edges (i, j), i < j, in sorted order, as a stream: refused now,
-    before any edge is built, if they outnumber the cell ceiling."""
+    """The vertices, and the edges (i, j), i < j, sorted, as a stream:
+    refused now, before either is built, if edges outnumber the cell ceiling."""
     edges, ceiling = graph_stats(L).edges, cell_ceiling()
     if edges > ceiling:
         raise CeilingError(f"{edges} graph edges exceed the ceiling of {ceiling}")
-    return _edge_stream(L.sorted_cells(), L.n, L.d)
+    vertices = L.sorted_cells()
+    return vertices, _edge_stream(vertices, L.n, L.d)
 
 
 def _edge_stream(vertices, n: int, d: int):
@@ -78,4 +79,4 @@ def edge_list_lines(L: CellSet):
     """Edge list export of L, or of a Latin RawOp: one "u v" pair per line,
     vertices as cell indices in lexicographic order; refused now, streamed
     as read."""
-    return (f"{i} {j}" for i, j in _edges(_cells(L)))
+    return (f"{i} {j}" for i, j in _edges(_cells(L))[1])

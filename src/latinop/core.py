@@ -40,8 +40,9 @@ def _first_bad(values, lo: int, hi: float = math.inf) -> int | None:
     return None
 
 
-def _check_shape(n: int, d: int, word: str = "arity") -> None:
-    """Raise ValidationError unless n >= 1 and d (named ``word``) >= 1."""
+def _check_shape(n: int, d: int = 1, word: str = "arity") -> None:
+    """Raise ValidationError unless n >= 1 and d (named ``word``) >= 1:
+    called with n alone, the one rule for an order."""
     if not _int_in(n, 1):
         raise ValidationError(f"carrier order must be >= 1, got {n}")
     if not _int_in(d, 1):

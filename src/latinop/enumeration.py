@@ -59,21 +59,26 @@ def _reduced_masks(n: int, d: int) -> tuple:
     )
 
 
-def _search(n: int, d: int, allowed=None, rng=None, budget=None):
-    """Yield every Latin table of order n and arity d whose cell m holds
-    a value of the bitmask allowed[m] (any value when allowed is None):
-    in lexicographic order, or, given the random.Random ``rng``, trying
-    each cell's candidates in a random order, one drawn per try.  Given
-    a budget, raise CeilingError on the budget-th backtrack.
+def _search(n: int, d: int, ceiling: int | None = None, reduced=False, rng=None, budget=None):
+    """Yield every Latin table of order n and arity d (if ``reduced``, those
+    whose cell m holds a value of _reduced_masks(n, d)[m]) in lexicographic
+    order, or, given the random.Random ``rng``, trying each cell's
+    candidates in a random order, one drawn per try.  Given a budget,
+    raise CeilingError on the budget-th backtrack, and first if the d line
+    indices of each of the n^d cells pass the cell ceiling.
 
     Depth-first over the cells in table order on an explicit stack, with
     one bitmask of used values per line.  Only the first n^d - n^(d-1)
     cells are searched.  Each of the first n-1 slot-1 layers is then
     Latin along every other slot, so the values missing from the slot-1
-    lines form a Latin last layer, filled in without search; allowed
-    must admit those values.  The same list is yielded every time,
+    lines form a Latin last layer, filled in without search; a reduced
+    table admits those values.  The same list is yielded every time,
     refilled in place.
     """
+    ceiling = _ceiling(ceiling, "cell ceiling")
+    if d * n ** d > ceiling:
+        raise CeilingError(f"d * n^d = {d} * {n}^{d} search line indices exceed "
+                           f"the ceiling of {ceiling}")
     line_of = _line_geometry(n, d)
     width = n ** (d - 1)
     free = len(line_of) - width
@@ -82,8 +87,7 @@ def _search(n: int, d: int, allowed=None, rng=None, budget=None):
         yield table
         return
     full = (1 << n) - 1
-    if allowed is None:
-        allowed = (full,) * free
+    allowed = _reduced_masks(n, d) if reduced else (full,) * free
     masks = [0] * (d * width)
     rest = [None] * free  # per searched cell below m: candidates not tried
     left = budget
@@ -185,7 +189,7 @@ def enumerate_all(n: int, d: int, ceiling: int | None = None):
     """
     _check_cells(n, d, ceiling)
     layers = _layers(n, d)
-    tables = _stacked(n, layers) if layers is not None else map(tuple, _search(n, d))
+    tables = _stacked(n, layers) if layers is not None else map(tuple, _search(n, d, ceiling))
     for table in tables:
         yield _trusted(LatinOp, n=n, d=d, table=table)
 
@@ -200,7 +204,7 @@ def count_all(n: int, d: int, ceiling: int | None = None) -> int:
     count is that order times the number of reduced tables.
     """
     _check_cells(n, d, ceiling)
-    reduced = sum(1 for _ in _search(n, d, allowed=_reduced_masks(n, d)))
+    reduced = sum(1 for _ in _search(n, d, ceiling, reduced=True))
     return math.factorial(n) * math.factorial(n - 1) ** (d - 1) * reduced
 
 
@@ -212,7 +216,7 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
     Raises CeilingError after RANDOM_BUDGET backtracks without one.
     """
     _check_cells(n, d, ceiling)
-    tables = _search(n, d, rng=random.Random(seed), budget=RANDOM_BUDGET)
+    tables = _search(n, d, ceiling, rng=random.Random(seed), budget=RANDOM_BUDGET)
     return _trusted(LatinOp, n=n, d=d, table=tuple(next(tables)))
 
 
@@ -291,6 +295,8 @@ def apply_paratopism(p: Paratopism, L: CellSet) -> CellSet:
 
 
 def paratopism_group_order(n: int, d: int) -> int:
+    """n!^(d+1) * (d+1)!, the order of the group acting at (n, d)."""
+    _check_shape(n, d, "dimension")
     return math.factorial(n) ** (d + 1) * math.factorial(d + 1)
 
 
@@ -319,12 +325,16 @@ def _orbit(n: int, d: int, table) -> set:
 
 
 def _check_group_ceiling(n: int, d: int, ceiling: int | None) -> None:
+    """Raise CeilingError at the first partial product of the group order,
+    over the factors of (d+1)! and then of n!, d+1 times, that passes the ceiling."""
+    _check_shape(n, d)
     ceiling = _ceiling(ceiling, "group ceiling", DEFAULT_GROUP_CEILING)
-    order = paratopism_group_order(n, d)
-    if order > ceiling:
-        raise CeilingError(
-            f"paratopism group order {order} exceeds the ceiling of {ceiling}"
-        )
+    order, ranges = 1, itertools.repeat(range(2, n + 1), d + 1)
+    for k in itertools.chain(range(2, d + 2), itertools.chain.from_iterable(ranges)):
+        order *= k
+        if order > ceiling:
+            raise CeilingError(f"paratopism group order n!^(d+1) * (d+1)! = "
+                               f"{n}!^{d + 1} * {d + 1}! exceeds the ceiling of {ceiling}")
 
 
 def canonical_form(L: CellSet, ceiling: int | None = None) -> CellSet:
@@ -342,7 +352,6 @@ def orbit_census(n: int, d: int, ceiling: int | None = None,
                  cell_ceiling_: int | None = None) -> dict:
     """Partition all Latin operations of order n, arity d into
     paratopism classes: canonical form -> orbit size."""
-    _check_shape(n, d)  # the group order takes factorials of n and d + 1
     _check_group_ceiling(n, d, ceiling)
     census = {}
     seen = set()

@@ -16,6 +16,7 @@ from .core import (
     CellSet,
     ValidationError,
     _check_cell_shapes,
+    _check_shape,
     _first_bad,
     _int_in,
     _trusted,
@@ -39,10 +40,7 @@ class Transversal:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
         n, d = self.n, self.d
-        if not (_int_in(n, 0) and _int_in(d, 0)):
-            raise ValidationError(
-                f"transversal order and dimension must be ints >= 0, got {n!r} and {d!r}"
-            )
+        _check_shape(n, d, "dimension")
         if len(self.cells) != n:
             raise ValidationError(
                 f"transversal has {len(self.cells)} cells, expected {n}"
@@ -62,20 +60,15 @@ class Transversal:
         )
 
 
-@functools.cache
-def _arg_geometry(n: int, d: int) -> tuple:
-    """The argument tuples (x_2..x_d) in lexicographic order and their
-    used-masks: value x of slot s+2 at bit s*n + x."""
-    args = tuple(itertools.product(range(n), repeat=d - 1))
-    return args, tuple(sum(1 << (s * n + x) for s, x in enumerate(xs)) for xs in args)
-
-
 def _rows(L: CellSet) -> list:
     """Per slot-1 value k, the cells (k, x_2..x_d, v) of L in lexicographic
     order, each paired with its used-mask: one n-bit field per slot
     2..d+1, value x of slot s+2 at bit s*n + x."""
     n, d, table = L.n, L.d, L.table
-    args, arg_masks = _arg_geometry(n, d)
+    args = list(itertools.product(range(n), repeat=d - 1))  # the (x_2..x_d)
+    arg_masks = [0]  # their used-masks, in the same order, a slot at a time
+    for s in range(d - 1):
+        arg_masks = [m | 1 << (s * n + x) for m in arg_masks for x in range(n)]
     shift, width = (d - 1) * n, len(args)
     return [
         [
@@ -206,6 +199,7 @@ def count_transversals(L: CellSet, limit: int | None = None) -> int:
 
 def alternating_sum(t: tuple, n: int) -> int:
     """Sum of (-1)^(i-1) * t_i over the coordinates, reduced mod n."""
+    _check_shape(n)
     t = tuple(t)
     i = _first_bad(t, 0, n)
     if i is not None:
@@ -235,16 +229,11 @@ def delta_check(T: Transversal, n: int | None = None) -> DeltaReport:
     Expected value: 0 for odd dimension; for even dimension the sum of
     involutions of Z/n, which is 0 for odd n and n/2 for even n.
     """
-    if n is None:
-        n = T.n
-    if not _int_in(n, 0):
-        raise ValidationError(f"carrier order must be an int >= 0, got {n!r}")
+    n = T.n if n is None else n
+    _check_shape(n)
     if n != T.n:
         raise ValidationError(f"carrier mismatch: {n} != {T.n}")
     cols = list(zip(*T.cells))  # entries validated at construction
     computed = (sum(map(sum, cols[0::2])) - sum(map(sum, cols[1::2]))) % n
-    if T.d % 2 == 1:
-        expected = 0
-    else:
-        expected = 0 if n % 2 == 1 else n // 2
+    expected = 0 if T.d % 2 or n % 2 else n // 2
     return _delta_report(computed, expected)

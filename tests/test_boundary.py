@@ -37,6 +37,7 @@ from latinop import (
     is_homomorphism,
     is_latin_cellset,
     orbit_census,
+    paratopism_group_order,
     projection_tau,
     pullback_compose,
     random_latin,
@@ -73,10 +74,10 @@ ENTRY_POINTS = {
     "is_latin_cellset cell": (lambda v: is_latin_cellset([(0, v), (v, 0)], 2, 1), 2, True),
     "Transversal cell": (lambda v: Transversal(2, 1, [(0, v), (v, 0)]).cells, 2,
                          ((0, 1), (1, 0))),
-    "Transversal order": (lambda v: Transversal(v, 1, [(0, 0)]).cells, -1, ((0, 0),)),
-    "Transversal dimension": (lambda v: Transversal(2, v, [(0, 1), (1, 0)]).cells, -1,
+    "Transversal order": (lambda v: Transversal(v, 1, [(0, 0)]).cells, 0, ((0, 0),)),
+    "Transversal dimension": (lambda v: Transversal(2, v, [(0, 1), (1, 0)]).cells, 0,
                               ((0, 1), (1, 0))),
-    "delta_check order": (lambda v: delta_check(Transversal(1, 1, [(0, 0)]), v), -1,
+    "delta_check order": (lambda v: delta_check(Transversal(1, 1, [(0, 0)]), v), 0,
                           DeltaReport(computed=0, expected=0)),
     "count_all order": (lambda v: count_all(v, 2), 0, 1),
     "count_all arity": (lambda v: count_all(2, v), 0, 2),
@@ -84,6 +85,9 @@ ENTRY_POINTS = {
     "random_latin arity": (lambda v: random_latin(2, v), 0, LatinOp(2, 1, (1, 0))),
     "orbit_census arity": (lambda v: len(orbit_census(2, v)), 0, 1),
     "alternating_sum entry": (lambda v: alternating_sum((0, v), 2), 2, 1),
+    "alternating_sum order": (lambda v: alternating_sum((0, 0), v), 0, 0),
+    "paratopism_group_order order": (lambda v: paratopism_group_order(v, 1), 0, 2),
+    "paratopism_group_order dimension": (lambda v: paratopism_group_order(2, v), 0, 8),
     "is_homomorphism map value": (lambda v: is_homomorphism((0, v), IDENTITY, IDENTITY), 2,
                                   True),
     "restrict constant": (lambda v: restrict(graph_of(XOR), 1, v), 2, graph_of(SHIFT)),

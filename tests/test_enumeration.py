@@ -25,7 +25,7 @@ from latinop import (
     random_latin,
 )
 
-from latinop.enumeration import RANDOM_BUDGET, _layers, _orbit, _reduced_masks, _search
+from latinop.enumeration import RANDOM_BUDGET, _layers, _orbit, _search
 from oracles import (
     count_by_generate_and_test,
     count_cubes_layered,
@@ -105,7 +105,7 @@ def test_reduced_search_finds_exactly_the_reduced_tables():
         axis = [(x * n ** (d - 1 - k), x) for k in range(d) for x in range(n)]
         plain = [op.table for op in enumerate_all(n, d)
                  if all(op.table[i] == x for i, x in axis)]
-        pinned = [tuple(t) for t in _search(n, d, allowed=_reduced_masks(n, d))]
+        pinned = [tuple(t) for t in _search(n, d, reduced=True)]
         assert pinned == plain, (n, d)
 
 
@@ -171,6 +171,20 @@ def test_cell_ceiling_refusal():
         count_all(10, 8)
     with pytest.raises(CeilingError):
         next(enumerate_all(3, 2, ceiling=8))
+
+
+def test_search_line_indices_refused_at_once():
+    # the 2^23 cells fit the default ceiling of 10^7, but their 23 line
+    # indices each, which the search would hold, do not; 19 * 2^19 fit
+    for search in (random_latin, count_all, lambda n, d: next(enumerate_all(n, d))):
+        start = time.perf_counter()
+        with pytest.raises(CeilingError, match=r"^d \* n\^d = 23 \* 2\^23 search line "
+                                               r"indices exceed the ceiling of 10000000$"):
+            search(2, 23)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(CeilingError, match="search line indices"):
+        random_latin(3, 3, ceiling=80)
+    assert is_latin(random_latin(3, 3, ceiling=81))
 
 
 def test_cell_ceiling_env_override(monkeypatch):
@@ -328,6 +342,23 @@ def test_orbit_census_small_orders():
     assert sorted(orbit_census(3, 2).values()) == [12]
     assert sorted(orbit_census(4, 2).values()) == [144, 432]
     assert sorted(orbit_census(3, 3).values()) == [24]
+
+
+def test_group_ceiling_refused_factor_by_factor():
+    # each refused order has more digits than int-to-str conversion
+    # allows, or takes long to build; none is built
+    for n, d in [(700, 2), (2, 1500), (10 ** 7, 2), (1, 10 ** 9)]:
+        start = time.perf_counter()
+        with pytest.raises(CeilingError, match=r"^paratopism group order n!\^\(d\+1\) \* "
+                                               rf"\(d\+1\)! = {n}!\^{d + 1} \* {d + 1}! "
+                                               r"exceeds the ceiling of 100000$"):
+            orbit_census(n, d)
+        assert time.perf_counter() - start < 1
+    # the order itself is the bound: 3!^3 * 3! = 1296 at (3, 2)
+    assert paratopism_group_order(3, 2) == 1296
+    with pytest.raises(CeilingError):
+        orbit_census(3, 2, ceiling=1295)
+    assert sum(orbit_census(3, 2, ceiling=1296).values()) == 12
 
 
 def test_orbit_sizes_sum_and_divide_group_order():

@@ -392,6 +392,21 @@ def test_orbits_bad_shape_exits_2(capsys):
         assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_group_order_refusal_exits_3(tmp_path, capsys):
+    # n!^(d+1) * (d+1)! here has more digits than int-to-str allows; the
+    # refusal names it by its factors
+    path = write(tmp_path, "z700.lhc", emit_lhc_rowwise(LatinOp(700, 2, cyclic_table(700))))
+    runs = {("orbits", "--n", "700", "--d", "2"): "700!^3 * 3!",
+            ("orbits", "--n", "2", "--d", "1500"): "2!^1501 * 1501!",
+            ("canon", path): "700!^3 * 3!"}
+    for argv, order in runs.items():
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: paratopism group order n!^(d+1) * (d+1)! = {order} "
+                                "exceeds the ceiling of 100000\n")
+
+
 def test_graph_cli_stats(tmp_path, capsys):
     path = write(tmp_path, "f.lhc", ADD3)
     assert main(["graph", path, "--stats"]) == 0

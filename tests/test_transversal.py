@@ -129,6 +129,20 @@ def test_transversal_validation():
         Transversal(2, 1, ((0, 0, 0), (1, 1)))
 
 
+def test_order_and_dimension_start_at_one():
+    # core's shape rule: the degenerate transversals of order or dimension
+    # 0 are refused, so neither the delta check nor the alternating sum
+    # ever reduces mod 0
+    for n, d, cells in [(0, 1, ()), (2, 0, ((0,), (1,))), (0, 0, ())]:
+        with pytest.raises(ValidationError, match="must be >= 1, got 0"):
+            Transversal(n, d, cells)
+    with pytest.raises(ValidationError, match="carrier order must be >= 1, got 0"):
+        delta_check(Transversal(1, 1, ((0, 0),)), 0)
+    with pytest.raises(ValidationError, match="carrier order must be >= 1, got 0"):
+        alternating_sum((), 0)
+    assert alternating_sum((), 1) == 0
+
+
 def test_alternating_sum_examples():
     assert alternating_sum((1, 2, 3), 5) == 2
     assert alternating_sum((0, 0, 0, 0), 7) == 0
