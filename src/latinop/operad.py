@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 from .core import (
@@ -142,6 +144,23 @@ def _pools(n, max_degree, sample_budget, seed):
     return pools, exhaustive
 
 
+def _gather(indices):
+    """The C-level map from a table t to tuple(t[k] for k in indices)."""
+    if len(indices) == 1:  # itemgetter of one index returns the entry itself
+        k, = indices
+        return lambda table: (table[k],)
+    return operator.itemgetter(*indices)
+
+
+def _permuter(n, cells, perm):
+    """The gather from any arity-d table f to act(perm, f), for cells the
+    table of f's cell indices: the paratopism kernel keeps the output
+    slot, so it gathers from any table, here with each index relabelled
+    to itself."""
+    d = len(perm)
+    return _gather(_paratope(n, d, (*perm, d + 1), (range(n),) * d + (cells,))(cells))
+
+
 def verify_operad_axioms(
     n: int, max_degree: int, sample_budget: int = 200, seed: int = 0
 ) -> OperadReport:
@@ -153,14 +172,29 @@ def verify_operad_axioms(
     and parallel associativity, unit laws, and slot-permutation
     equivariance (outer and inner).  Failures are reported with a
     witness, not raised.  Both max_degree and sample_budget must be >= 1.
+
+    Each composition with a given inner operand, and each slot
+    permutation, is a gather derived from the kernels and applied to
+    every table it meets: built once per verification, or once per sweep
+    over f when the inner operand is a composite or an acted operand.
+    Both sides of every check are still computed in full and compared.
     """
     for name, value in (("max_degree", max_degree), ("sample_budget", sample_budget)):
         if not _int_in(value, 1):
             raise ValidationError(f"{name} must be >= 1, got {value}")
     _check_cells(n, 2 * max_degree - 1)  # the largest pool composite
+    ceiling = cell_ceiling()
+    # the slot permutations of every degree, listed for equivariance
+    nperms = math.factorial(max_degree + 1) - 1  # = sum of deg! * deg
+    if nperms > ceiling:
+        raise CeilingError(
+            f"(max_degree + 1)! - 1 = {nperms} slot permutation entries of degrees "
+            f"1..{max_degree} exceed the ceiling of {ceiling}"
+        )
     pools, exhaustive = _pools(n, max_degree, sample_budget, seed)
     report = OperadReport(n=n, max_degree=max_degree, exhaustive=exhaustive)
     allops = [op for deg in sorted(pools) for op in pools[deg]]
+    xs_of = {d: [x for x, f in enumerate(allops) if f.d == d] for d in pools}
 
     # comp[x, y, i] = allops[x] o_i allops[y], built once: the closure
     # table, and an operand of the associativity and equivariance checks
@@ -169,49 +203,70 @@ def verify_operad_axioms(
         for d in pools
         for e in pools
     )
-    ceiling = cell_ceiling()
     if cells > ceiling:
         raise CeilingError(
             f"{cells} cells of pool composites exceed the ceiling of {ceiling}"
         )
+
+    # index(d) is the table of an arity-d table's cell indices: a kernel
+    # applied to it gives the gather of its map.  Each index is one int
+    # object, shared by every gather.
+    index = functools.cache(lambda d: tuple(range(n ** d)))
+
+    @functools.cache  # "any arity-d table o_i allops[y]", built once
+    def into(d, i, y):
+        return _gather(_compose_table(n, d, index(d), allops[y].d, allops[y].table, i))
+
     comp = {}
     closure = AxiomResult("closure")
     for x, f in enumerate(allops):
         for y, g in enumerate(allops):
             for i in range(1, f.d + 1):
                 closure.checks += 1
-                tab = comp[x, y, i] = _compose_table(n, f.d, f.table, g.d, g.table, i)
+                tab = comp[x, y, i] = into(f.d, i, y)(f.table)
                 if _non_latin_slot(n, f.d + g.d - 1, tab):
                     closure.fail(f"f={f.table} g={g.table} i={i}")
     report.results.append(closure)
 
+    # (f o_i g) o_{i-1+j} h == f o_i (g o_j h).  The inner operand g o_j h
+    # is a composite, so (y, z, j) runs outermost and each gather into it
+    # lives for one sweep over f; the witness is the least failing tuple.
     seq = AxiomResult("sequential-associativity")
+    first = None
+    for y, g in enumerate(allops):
+        for z, h in enumerate(allops):
+            for j in range(1, g.d + 1):
+                gh = comp[y, z, j]
+                for d, xs in xs_of.items():
+                    for i in range(1, d + 1):
+                        seq.checks += len(xs)
+                        left = into(d + g.d - 1, i - 1 + j, z)
+                        right = _gather(_compose_table(n, d, index(d), g.d + h.d - 1, gh, i))
+                        for x in xs:
+                            if left(comp[x, y, i]) != right(allops[x].table):
+                                key = (x, y, z, i, j)
+                                first = min(first or key, key)
+    if first:
+        x, y, z, i, j = first
+        seq.fail(
+            f"f={allops[x].table} g={allops[y].table} h={allops[z].table} i={i} j={j}"
+        )
+    report.results.append(seq)
+
     par = AxiomResult("parallel-associativity")
     for x, f in enumerate(allops):
         for y, g in enumerate(allops):
             for z, h in enumerate(allops):
                 d, e, e2 = f.d, g.d, h.d
                 for i in range(1, d + 1):
-                    fg = comp[x, y, i]
-                    # (f o_i g) o_{i-1+j} h == f o_i (g o_j h)
-                    for j in range(1, e + 1):
-                        seq.checks += 1
-                        lhs = _compose_table(n, d + e - 1, fg, e2, h.table, i - 1 + j)
-                        rhs = _compose_table(n, d, f.table, e + e2 - 1, comp[y, z, j], i)
-                        if lhs != rhs:
-                            seq.fail(
-                                f"f={f.table} g={g.table} h={h.table} i={i} j={j}"
-                            )
                     # (f o_i g) o_{k+e-1} h == (f o_k h) o_i g for i < k <= d
                     for k in range(i + 1, d + 1):
                         par.checks += 1
-                        lhs = _compose_table(n, d + e - 1, fg, e2, h.table, k + e - 1)
-                        rhs = _compose_table(n, d + e2 - 1, comp[x, z, k], e, g.table, i)
-                        if lhs != rhs:
+                        lhs = into(d + e - 1, k + e - 1, z)(comp[x, y, i])
+                        if lhs != into(d + e2 - 1, i, y)(comp[x, z, k]):
                             par.fail(
                                 f"f={f.table} g={g.table} h={h.table} i={i} k={k}"
                             )
-    report.results.append(seq)
     report.results.append(par)
 
     unit_ax = AxiomResult("unit")
@@ -226,11 +281,10 @@ def verify_operad_axioms(
             unit_ax.fail(f"f={f.table} (left unit)")
     report.results.append(unit_ax)
 
-    @functools.cache  # each permutation's gather, built once per verification
-    def act_map(perm):
-        return _paratope(n, len(perm), (*perm, len(perm) + 1), (range(n),) * (len(perm) + 1))
-
-    block = functools.cache(block_permutation)  # each built once per verification
+    # each permutation's gather, block_permutation and embed_permutation,
+    # built once per verification
+    act_map = functools.cache(lambda perm: _permuter(n, index(len(perm)), perm))
+    block = functools.cache(block_permutation)
     embed = functools.cache(embed_permutation)
     perms = {
         deg: [_trusted(SlotPermutation, d=deg, perm=p)
@@ -239,25 +293,41 @@ def verify_operad_axioms(
     }
     # acted[x][s] = act(perms[d][s], allops[x]) for d its degree, built once
     acted = [[act_map(s.perm)(f.table) for s in perms[f.d]] for f in allops]
+
+    # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
+    # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g), where
+    # (g, tau) runs outermost like g o_j h above; the witness is the least
+    # failing (f, g, outer before inner, sigma or tau, slot)
     equi = AxiomResult("equivariance")
+    first = None
     for x, f in enumerate(allops):
         d = f.d
         for y, g in enumerate(allops):
-            e = g.d
-            for sigma, sf in zip(perms[d], acted[x]):
+            for s, sigma in enumerate(perms[d]):
                 inv = sigma.inverse()
                 for k in range(1, d + 1):
-                    # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
                     equi.checks += 1
-                    lhs = _compose_table(n, d, sf, e, g.table, k)
-                    if lhs != act_map(block(sigma, k, e).perm)(comp[x, y, inv(k)]):
-                        equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}")
-            for tau, tg in zip(perms[e], acted[y]):
+                    lhs = into(d, k, y)(acted[x][s])
+                    if lhs != act_map(block(sigma, k, g.d).perm)(comp[x, y, inv(k)]):
+                        key = (x, y, 0, s, k)
+                        first = min(first or key, key)
+    for y, g in enumerate(allops):
+        for t, tau in enumerate(perms[g.d]):
+            for d, xs in xs_of.items():
                 for i in range(1, d + 1):
-                    # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g)
-                    equi.checks += 1
-                    lhs = _compose_table(n, d, f.table, e, tg, i)
-                    if lhs != act_map(embed(tau, i, d).perm)(comp[x, y, i]):
-                        equi.fail(f"inner f={f.table} g={g.table} tau={tau.perm} i={i}")
+                    equi.checks += len(xs)
+                    left = _gather(_compose_table(n, d, index(d), g.d, acted[y][t], i))
+                    right = act_map(embed(tau, i, d).perm)
+                    for x in xs:
+                        if left(allops[x].table) != right(comp[x, y, i]):
+                            key = (x, y, 1, t, i)
+                            first = min(first or key, key)
+    if first:
+        x, y, inner, s, k = first
+        f, g = allops[x], allops[y]
+        if inner:
+            equi.fail(f"inner f={f.table} g={g.table} tau={perms[g.d][s].perm} i={k}")
+        else:
+            equi.fail(f"outer f={f.table} g={g.table} sigma={perms[f.d][s].perm} k={k}")
     report.results.append(equi)
     return report

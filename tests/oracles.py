@@ -208,6 +208,29 @@ def compose_slot_permutations(sigma, tau, i):
     return tuple(out)
 
 
+def operad_check_counts(pool_sizes):
+    """Checks per axiom of an operad axiom verification whose pools hold
+    pool_sizes[d] operations of each degree d, summed over the degrees of
+    the operands each axiom quantifies: closure over f, g and a slot i of
+    f; sequential associativity over f, g, h, a slot i of f and a slot j
+    of g; parallel associativity over f, g, h and slots i < k of f; the
+    unit laws over each slot of f (right) and f (left); equivariance over
+    f, g with every sigma of f's degree and slot k of f (outer), and every
+    tau of g's degree and slot i of f (inner)."""
+    p = pool_sizes
+    pairs = list(itertools.product(p, repeat=2))
+    triples = list(itertools.product(p, repeat=3))
+    return {
+        "closure": sum(p[d] * p[e] * d for d, e in pairs),
+        "sequential-associativity": sum(p[d] * p[e] * p[h] * d * e for d, e, h in triples),
+        "parallel-associativity": sum(p[d] * p[e] * p[h] * d * (d - 1) // 2 for d, e, h in triples),
+        "unit": sum(p[d] * (d + 1) for d in p),
+        "equivariance": sum(
+            p[d] * p[e] * (math.factorial(d) * d + math.factorial(e) * d) for d, e in pairs
+        ),
+    }
+
+
 def paratope_cells(cells, slot_perm, symbol_perms):
     """Image of a cell set under a paratopism, cell by cell: the slot-s
     entry x of a cell (1-based slots) moves to slot slot_perm[s-1] as

@@ -447,6 +447,17 @@ def test_verify_operad_cli(capsys):
     assert out.count("pass") == 5 and "fail" not in out
 
 
+def test_verify_operad_cli_refuses_oversized_permutation_lists(capsys):
+    # 11! - 1 slot permutation entries: refused before any is listed
+    assert main(["verify-operad", "--n", "1", "--max-degree", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: (max_degree + 1)! - 1 = 39916799 slot permutation entries of "
+        "degrees 1..10 exceed the ceiling of 10000000\n"
+    )
+
+
 def test_autos_cli(tmp_path, capsys):
     path = write(tmp_path, "f.lhc", ADD3)
     assert main(["autos", path]) == 0

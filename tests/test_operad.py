@@ -24,12 +24,14 @@ from latinop import (
 from latinop import operad
 from latinop.enumeration import enumerate_all, random_latin
 from latinop.core import _paratope
-from latinop.operad import AxiomResult, _compose_table
+from latinop.operad import AxiomResult, _compose_table, _gather, _permuter
 
 from oracles import (
     compose_permutations,
     compose_slot_permutations,
     cyclic_table,
+    latin_tables_lex,
+    operad_check_counts,
     table_is_latin,
 )
 
@@ -93,19 +95,24 @@ def test_compose_unit_laws_all_ops():
 
 def test_table_kernels_match_pointwise_definition():
     # raw tables need not be Latin: the kernels only reindex (the
-    # paratopism kernel gathers when the output slot stays)
+    # paratopism kernel gathers when the output slot stays), so the
+    # verifier's gathers, the kernels applied to the cell indices, agree;
+    # at order 1 a one-cell gather still returns a tuple
     rng = random.Random(0)
     for n in range(1, 5):
         for d in range(1, 4):
             f = RawOp(n, d, tuple(rng.randrange(n) for _ in range(n ** d)))
+            cells = range(n ** d)
             for perm in itertools.permutations(range(1, d + 1)):
                 got = _paratope(n, d, (*perm, d + 1), (range(n),) * (d + 1))(f.table)
+                assert _permuter(n, cells, perm)(f.table) == got
                 for idx, xs in enumerate(itertools.product(range(n), repeat=d)):
                     assert got[idx] == f(*(xs[p - 1] for p in perm))
             for e in range(1, 4):
                 g = RawOp(n, e, tuple(rng.randrange(n) for _ in range(n ** e)))
                 for i in range(1, d + 1):
                     got = _compose_table(n, d, f.table, e, g.table, i)
+                    assert _gather(_compose_table(n, d, cells, e, g.table, i))(f.table) == got
                     points = itertools.product(range(n), repeat=d + e - 1)
                     for idx, xs in enumerate(points):
                         inner = g(*xs[i - 1:i - 1 + e])
@@ -329,6 +336,25 @@ def test_verifier_reports_flipped_composites(monkeypatch):
     }
 
 
+def test_verifier_witnesses_the_least_failing_sequential_tuple(monkeypatch):
+    # the same injected fault; its sequential-associativity witness is the
+    # first failing (f, g, h, i, j) in pool order, whatever order the
+    # verifier's loops run in
+    compose = operad._compose_table
+
+    def flipped(n, d, ftab, e, gtab, i):
+        tab = compose(n, d, ftab, e, gtab, i)
+        return (tab[0] ^ 1,) + tab[1:] if d + e - 1 == 3 else tab
+
+    monkeypatch.setattr(operad, "_compose_table", flipped)
+    for max_degree, witness in [
+        (2, "f=(0, 1) g=(0, 1, 1, 0) h=(0, 1, 1, 0) i=1 j=1"),
+        (3, "f=(0, 1) g=(0, 1) h=(0, 1, 1, 0, 1, 0, 0, 1) i=1 j=1"),
+    ]:
+        report = verify_operad_axioms(2, max_degree)
+        assert {r.axiom: r.witness for r in report.results}["sequential-associativity"] == witness
+
+
 def test_verifier_reports_act_ignoring_permutation(monkeypatch):
     monkeypatch.setattr(operad, "_paratope", lambda n, d, slots, symbols: tuple)
     report = verify_operad_axioms(3, 2)
@@ -350,6 +376,29 @@ def test_composite_ceilings(monkeypatch):
         verify_operad_axioms(3, 1)
     monkeypatch.setenv("LATINOP_CELL_CEILING", "108")
     assert verify_operad_axioms(3, 1).ok
+
+
+def test_verifier_refuses_its_permutation_lists_over_the_ceiling(monkeypatch):
+    # the slot permutations of degrees 1..m hold sum(deg! * deg) =
+    # (m + 1)! - 1 entries, compared with the ceiling on their own
+    with pytest.raises(CeilingError, match=r"= 39916799 slot permutation entries"):
+        verify_operad_axioms(1, 10)
+    # (1, 3): 18 composite cells, 23 permutation entries
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "22")
+    with pytest.raises(CeilingError, match=r"= 23 slot permutation entries of degrees 1..3"):
+        verify_operad_axioms(1, 3)
+    monkeypatch.setenv("LATINOP_CELL_CEILING", "23")
+    assert verify_operad_axioms(1, 3).ok
+
+
+@pytest.mark.parametrize("n, max_degree", [
+    (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1),
+])
+def test_verifier_check_counts_match_the_closed_form(n, max_degree):
+    report = verify_operad_axioms(n, max_degree)
+    assert report.ok and all(report.exhaustive.values())
+    pools = {d: len(latin_tables_lex(n, d)) for d in range(1, max_degree + 1)}
+    assert {r.axiom: r.checks for r in report.results} == operad_check_counts(pools)
 
 
 def test_verifier_refuses_an_empty_verification():
