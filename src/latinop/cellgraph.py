@@ -13,7 +13,7 @@ import collections
 import math
 from dataclasses import dataclass
 
-from .core import CeilingError, CellSet, _cells, _latin, cell_ceiling
+from .core import CellSet, _cells, _latin, _within, cell_ceiling
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ def _edges(L: CellSet):
     """The vertices, and the edges (i, j), i < j, sorted, as a stream:
     refused now, before either is built, if edges outnumber the cell ceiling."""
     edges, ceiling = graph_stats(L).edges, cell_ceiling()
-    if edges > ceiling:
-        raise CeilingError(f"{edges} graph edges exceed the ceiling of {ceiling}")
+    _within(ceiling, (edges,), "{} graph edges exceed the ceiling of {}", edges, ceiling)
     vertices = L.sorted_cells()
     return vertices, _edge_stream(vertices, L.n, L.d)
 

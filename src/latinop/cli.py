@@ -111,7 +111,7 @@ def cmd_enumerate(args):
     if args.stream is None:
         print(count_all(args.n, args.d, args.cell_ceiling))
         return 0
-    ops = enumerate_all(args.n, args.d, args.cell_ceiling)  # lazy: checked after out opens
+    ops = enumerate_all(args.n, args.d, args.cell_ceiling)  # refused before out opens
     with _output(args.stream) as out:
         for record in _separated(map(emit_lhc, ops)):
             out.write(record)
@@ -173,7 +173,7 @@ def cmd_graph(args):
     from .cellgraph import edge_list_lines, graph_stats
     f = _load_latin(args.file)
     if args.edges is not None:
-        lines = edge_list_lines(f)  # refused over the ceiling before out opens
+        lines = edge_list_lines(f)  # refused before out opens
         with _output(args.edges) as out:
             out.writelines(line + "\n" for line in lines)
         return 0

@@ -85,23 +85,28 @@ def _ceiling(v, word: str, default: int | None = None) -> int:
     return v
 
 
+def _within(ceiling: int, factors, refusal: str, *args) -> int:
+    """The product of ``factors``, ints >= 1, multiplied one at a time:
+    at the first partial product over ``ceiling``, raise CeilingError
+    with ``refusal.format(*args)``, so no product far past it is formed."""
+    product = 1
+    for k in factors:
+        product *= k
+        if product > ceiling:
+            raise CeilingError(refusal.format(*args))
+    return product
+
+
 def _check_cells(n: int, d: int, ceiling: int | None = None) -> int:
     """n ** d, the cell count of an order-n, arity-d table, after
     checking it against the ceiling (LATINOP_CELL_CEILING by default)."""
     _check_shape(n, d)
     ceiling = _ceiling(ceiling, "cell ceiling")
-    # n^d >= 2^(d * (bit_length(n) - 1)): a huge claim is refused before
-    # n^d is formed, so no power much beyond the ceiling squared is built
-    if d * (n.bit_length() - 1) > ceiling.bit_length() or n ** d > ceiling:
-        raise CeilingError(
-            f"n^d = {n}^{d} table cells exceeds the ceiling of {ceiling}"
-        )
-    # only n = 1 gets here with such an arity: it has one cell at any arity
-    if d > ceiling.bit_length():
-        raise CeilingError(
-            f"arity {d} exceeds the bit length of the cell ceiling {ceiling}"
-        )
-    return n ** d
+    if n == 1 and d > ceiling.bit_length():  # one cell, at any arity
+        raise CeilingError(f"arity {d} exceeds the bit length of the cell ceiling {ceiling}")
+    # for n >= 2, bit_length + 1 factors of n already pass the ceiling
+    return _within(ceiling, itertools.repeat(n, min(d, ceiling.bit_length() + 1)),
+                   "n^d = {}^{} table cells exceeds the ceiling of {}", n, d, ceiling)
 
 
 def _check_composable(f, g, i: int) -> None:

@@ -22,6 +22,7 @@ from .core import (
     _latin,
     _paratope,
     _trusted,
+    _within,
     encode,
 )
 
@@ -60,12 +61,22 @@ def _reduced_masks(n: int, d: int) -> tuple:
 
 
 def _search(n: int, d: int, ceiling: int | None = None, reduced=False, rng=None, budget=None):
-    """Yield every Latin table of order n and arity d (if ``reduced``, those
-    whose cell m holds a value of _reduced_masks(n, d)[m]) in lexicographic
-    order, or, given the random.Random ``rng``, trying each cell's
-    candidates in a random order, one drawn per try.  Given a budget,
-    raise CeilingError on the budget-th backtrack, and first if the d line
-    indices of each of the n^d cells pass the cell ceiling.
+    """An iterator over every Latin table of order n and arity d (if
+    ``reduced``, those whose cell m holds a value of _reduced_masks(n, d)[m])
+    in lexicographic order, or, given the random.Random ``rng``, trying each
+    cell's candidates in a random order, one drawn per try.  Refused at
+    the call if the n^d cells, or the d line indices of each, pass the
+    cell ceiling; given a budget, CeilingError is raised on the
+    budget-th backtrack."""
+    _check_cells(n, d, ceiling)
+    ceiling = _ceiling(ceiling, "cell ceiling")
+    _within(ceiling, (d, n ** d), "d * n^d = {} * {}^{} search line indices exceed "
+            "the ceiling of {}", d, n, d, ceiling)
+    return _backtrack(n, d, reduced, rng, budget)
+
+
+def _backtrack(n: int, d: int, reduced, rng, budget):
+    """The tables of _search, the shape checked.
 
     Depth-first over the cells in table order on an explicit stack, with
     one bitmask of used values per line.  Only the first n^d - n^(d-1)
@@ -75,10 +86,6 @@ def _search(n: int, d: int, ceiling: int | None = None, reduced=False, rng=None,
     table admits those values.  The same list is yielded every time,
     refilled in place.
     """
-    ceiling = _ceiling(ceiling, "cell ceiling")
-    if d * n ** d > ceiling:
-        raise CeilingError(f"d * n^d = {d} * {n}^{d} search line indices exceed "
-                           f"the ceiling of {ceiling}")
     line_of = _line_geometry(n, d)
     width = n ** (d - 1)
     free = len(line_of) - width
@@ -179,8 +186,9 @@ def _layers(n: int, d: int) -> list | None:
 
 
 def enumerate_all(n: int, d: int, ceiling: int | None = None):
-    """Yield every Latin d-ary operation of order n exactly once, in
-    lexicographic table order.
+    """An iterator over every Latin d-ary operation of order n, each
+    exactly once, in lexicographic table order; a shape over a ceiling is
+    refused at the call.
 
     Cut along slot 1, a Latin table is n Latin (d-1)-ary layers that
     differ in every cell, in table order.  So the tables are the stacks
@@ -190,8 +198,7 @@ def enumerate_all(n: int, d: int, ceiling: int | None = None):
     _check_cells(n, d, ceiling)
     layers = _layers(n, d)
     tables = _stacked(n, layers) if layers is not None else map(tuple, _search(n, d, ceiling))
-    for table in tables:
-        yield _trusted(LatinOp, n=n, d=d, table=table)
+    return (_trusted(LatinOp, n=n, d=d, table=table) for table in tables)
 
 
 def count_all(n: int, d: int, ceiling: int | None = None) -> int:
@@ -202,9 +209,19 @@ def count_all(n: int, d: int, ceiling: int | None = None) -> int:
     slots 2..d with 0 fixed, a group of order n! * ((n-1)!)^(d-1), takes
     each table to exactly one reduced table and acts freely, so the
     count is that order times the number of reduced tables.
+
+    A square count is refused when the reduced squares, at least
+    (n!)^(2n) / (n^(n^2) * n! * (n-1)!) by the Egorychev-Falikman bound
+    on the permanent (van Lint-Wilson, ch. 17), exceed the cell ceiling.
     """
-    _check_cells(n, d, ceiling)
-    reduced = sum(1 for _ in _search(n, d, ceiling, reduced=True))
+    squares = _search(n, d, ceiling, reduced=True)
+    if d == 2:  # for q = (n!)^2 // n^n, q^n / (n! * (n-1)!) is at most that bound
+        ceiling = _ceiling(ceiling, "cell ceiling")
+        q = math.factorial(n) ** 2 // n ** n
+        _within(ceiling * math.factorial(n) * math.factorial(n - 1), itertools.repeat(q, n),
+                "at least (n!)^(2n) / (n^(n^2) * n! * (n-1)!) reduced squares of order {} "
+                "exceed the ceiling of {}", n, ceiling)
+    reduced = sum(1 for _ in squares)
     return math.factorial(n) * math.factorial(n - 1) ** (d - 1) * reduced
 
 
@@ -215,7 +232,6 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
     Deterministic given the seed; not uniform over all Latin operations.
     Raises CeilingError after RANDOM_BUDGET backtracks without one.
     """
-    _check_cells(n, d, ceiling)
     tables = _search(n, d, ceiling, rng=random.Random(seed), budget=RANDOM_BUDGET)
     return _trusted(LatinOp, n=n, d=d, table=tuple(next(tables)))
 
@@ -325,16 +341,14 @@ def _orbit(n: int, d: int, table) -> set:
 
 
 def _check_group_ceiling(n: int, d: int, ceiling: int | None) -> None:
-    """Raise CeilingError at the first partial product of the group order,
-    over the factors of (d+1)! and then of n!, d+1 times, that passes the ceiling."""
+    """Raise CeilingError unless the group order, multiplied over the
+    factors of (d+1)! and then of n!, d+1 times, is within the ceiling."""
     _check_shape(n, d)
     ceiling = _ceiling(ceiling, "group ceiling", DEFAULT_GROUP_CEILING)
-    order, ranges = 1, itertools.repeat(range(2, n + 1), d + 1)
-    for k in itertools.chain(range(2, d + 2), itertools.chain.from_iterable(ranges)):
-        order *= k
-        if order > ceiling:
-            raise CeilingError(f"paratopism group order n!^(d+1) * (d+1)! = "
-                               f"{n}!^{d + 1} * {d + 1}! exceeds the ceiling of {ceiling}")
+    ranges = itertools.repeat(range(2, n + 1), d + 1)
+    _within(ceiling, itertools.chain(range(2, d + 2), itertools.chain.from_iterable(ranges)),
+            "paratopism group order n!^(d+1) * (d+1)! = {}!^{} * {}! exceeds the ceiling of {}",
+            n, d + 1, d + 1, ceiling)
 
 
 def canonical_form(L: CellSet, ceiling: int | None = None) -> CellSet:

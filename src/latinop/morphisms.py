@@ -4,9 +4,8 @@ operations."""
 from __future__ import annotations
 
 import itertools
-import math
 
-from .core import CeilingError, LatinOp, ValidationError, _ceiling, _first_bad
+from .core import LatinOp, ValidationError, _ceiling, _first_bad, _within
 
 DEFAULT_AUTO_CEILING = 8
 
@@ -48,10 +47,7 @@ def automorphisms(f: LatinOp, ceiling: int | None = None) -> list:
     """
     n = f.n
     ceiling = _ceiling(ceiling, "automorphism-scan ceiling", DEFAULT_AUTO_CEILING)
-    if n > ceiling:
-        raise CeilingError(
-            f"carrier order {n} exceeds the automorphism-scan ceiling {ceiling}"
-        )
+    _within(ceiling, (n,), "carrier order {} exceeds the automorphism-scan ceiling {}", n, ceiling)
     found = [
         iota for iota in itertools.permutations(range(n)) if _preserves(iota, f, f)
     ]

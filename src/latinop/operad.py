@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import (
-    CeilingError,
     LatinOp,
     SlotPermutation,
     ValidationError,
@@ -28,6 +27,7 @@ from .core import (
     _paratope,
     _slot_move,
     _trusted,
+    _within,
     cell_ceiling,
 )
 
@@ -104,11 +104,13 @@ class AxiomResult:
     checks: int = 0
     passed: bool = True
     witness: str | None = None
+    key: tuple = field(default=(), repr=False, compare=False)
 
-    def fail(self, witness: str) -> None:
-        if self.passed:
-            self.passed = False
-            self.witness = witness
+    def fail(self, witness: str, key: tuple = ()) -> None:
+        """Record a failure: the witness kept is that of the least key,
+        the first one among failures of equal keys."""
+        if self.passed or key < self.key:
+            self.passed, self.witness, self.key = False, witness, key
 
 
 @dataclass
@@ -186,11 +188,8 @@ def verify_operad_axioms(
     ceiling = cell_ceiling()
     # the slot permutations of every degree, listed for equivariance
     nperms = math.factorial(max_degree + 1) - 1  # = sum of deg! * deg
-    if nperms > ceiling:
-        raise CeilingError(
-            f"(max_degree + 1)! - 1 = {nperms} slot permutation entries of degrees "
-            f"1..{max_degree} exceed the ceiling of {ceiling}"
-        )
+    _within(ceiling, (nperms,), "(max_degree + 1)! - 1 = {} slot permutation entries of "
+            "degrees 1..{} exceed the ceiling of {}", nperms, max_degree, ceiling)
     pools, exhaustive = _pools(n, max_degree, sample_budget, seed)
     report = OperadReport(n=n, max_degree=max_degree, exhaustive=exhaustive)
     allops = [op for deg in sorted(pools) for op in pools[deg]]
@@ -203,10 +202,8 @@ def verify_operad_axioms(
         for d in pools
         for e in pools
     )
-    if cells > ceiling:
-        raise CeilingError(
-            f"{cells} cells of pool composites exceed the ceiling of {ceiling}"
-        )
+    _within(ceiling, (cells,), "{} cells of pool composites exceed the ceiling of {}",
+            cells, ceiling)
 
     # index(d) is the table of an arity-d table's cell indices: a kernel
     # applied to it gives the gather of its map.  Each index is one int
@@ -232,7 +229,6 @@ def verify_operad_axioms(
     # is a composite, so (y, z, j) runs outermost and each gather into it
     # lives for one sweep over f; the witness is the least failing tuple.
     seq = AxiomResult("sequential-associativity")
-    first = None
     for y, g in enumerate(allops):
         for z, h in enumerate(allops):
             for j in range(1, g.d + 1):
@@ -244,13 +240,8 @@ def verify_operad_axioms(
                         right = _gather(_compose_table(n, d, index(d), g.d + h.d - 1, gh, i))
                         for x in xs:
                             if left(comp[x, y, i]) != right(allops[x].table):
-                                key = (x, y, z, i, j)
-                                first = min(first or key, key)
-    if first:
-        x, y, z, i, j = first
-        seq.fail(
-            f"f={allops[x].table} g={allops[y].table} h={allops[z].table} i={i} j={j}"
-        )
+                                seq.fail(f"f={allops[x].table} g={g.table} h={h.table} "
+                                         f"i={i} j={j}", (x, y, z, i, j))
     report.results.append(seq)
 
     par = AxiomResult("parallel-associativity")
@@ -299,7 +290,6 @@ def verify_operad_axioms(
     # (g, tau) runs outermost like g o_j h above; the witness is the least
     # failing (f, g, outer before inner, sigma or tau, slot)
     equi = AxiomResult("equivariance")
-    first = None
     for x, f in enumerate(allops):
         d = f.d
         for y, g in enumerate(allops):
@@ -309,8 +299,8 @@ def verify_operad_axioms(
                     equi.checks += 1
                     lhs = into(d, k, y)(acted[x][s])
                     if lhs != act_map(block(sigma, k, g.d).perm)(comp[x, y, inv(k)]):
-                        key = (x, y, 0, s, k)
-                        first = min(first or key, key)
+                        equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}",
+                                  (x, y, 0, s, k))
     for y, g in enumerate(allops):
         for t, tau in enumerate(perms[g.d]):
             for d, xs in xs_of.items():
@@ -320,14 +310,7 @@ def verify_operad_axioms(
                     right = act_map(embed(tau, i, d).perm)
                     for x in xs:
                         if left(allops[x].table) != right(comp[x, y, i]):
-                            key = (x, y, 1, t, i)
-                            first = min(first or key, key)
-    if first:
-        x, y, inner, s, k = first
-        f, g = allops[x], allops[y]
-        if inner:
-            equi.fail(f"inner f={f.table} g={g.table} tau={perms[g.d][s].perm} i={k}")
-        else:
-            equi.fail(f"outer f={f.table} g={g.table} sigma={perms[f.d][s].perm} k={k}")
+                            equi.fail(f"inner f={allops[x].table} g={g.table} "
+                                      f"tau={tau.perm} i={i}", (x, y, 1, t, i))
     report.results.append(equi)
     return report

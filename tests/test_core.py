@@ -71,6 +71,9 @@ def test_call_checks_each_argument(n, d):
             assert str(err.value) == f"argument {k + 1} out of range [0, {n}): {bad!r}"
     for args in itertools.product(range(n), repeat=d):
         assert f(*args) == sum(args) % n
+    for args in ([0] * (d - 1), [0] * (d + 1)):
+        with pytest.raises(ValidationError, match=f"^expected {d} arguments, got {len(args)}$"):
+            f(*args)
 
 
 def test_latinop_rejects_non_latin():

@@ -187,6 +187,32 @@ def test_search_line_indices_refused_at_once():
     assert is_latin(random_latin(3, 3, ceiling=81))
 
 
+# reduced Latin squares of order 1..9 (OEIS A000315)
+REDUCED_SQUARES = [1, 1, 1, 4, 56, 9408, 16942080, 535281401856, 377597570964258816]
+
+
+def test_square_counts_refused_by_the_permanent_bound(monkeypatch):
+    # order 8 and up is refused at once at the default ceiling, with the
+    # bound's formula in the message
+    for n in (8, 9, 32):
+        start = time.perf_counter()
+        with pytest.raises(CeilingError, match=rf"^at least \(n!\)\^\(2n\) / \(n\^\(n\^2\) "
+                                               rf"\* n! \* \(n-1\)!\) reduced squares of order "
+                                               rf"{n} exceed the ceiling of 10000000$"):
+            count_all(n, 2)
+        assert time.perf_counter() - start < 1
+    # the bound stays below the true count: no ceiling that holds the
+    # reduced squares refuses them (the search itself stubbed out)
+    monkeypatch.setattr("latinop.enumeration._search", lambda *args, **kwargs: iter(()))
+    for n, reduced in enumerate(REDUCED_SQUARES, 1):
+        assert count_all(n, 2, ceiling=reduced) == 0
+    # the least ceiling let through: q^n / (n! * (n-1)!) rounded up
+    for n, least in [(6, 21), (7, 6027), (8, 35499220)]:
+        assert count_all(n, 2, ceiling=least) == 0
+        with pytest.raises(CeilingError, match="reduced squares"):
+            count_all(n, 2, ceiling=least - 1)
+
+
 def test_cell_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("LATINOP_CELL_CEILING", "8")
     with pytest.raises(CeilingError):
@@ -267,6 +293,13 @@ def test_paratopism_validation():
             Paratopism((1, 2), ((0, 1), (0, 1))))
     with pytest.raises(ValidationError):
         Paratopism.identity(2, 1).compose(Paratopism.identity(2, 2))
+    with pytest.raises(ValidationError, match="^expected 2 symbol permutations, got 1$"):
+        Paratopism((1, 2), ((0, 1),))
+    square = graph_of(LatinOp(3, 2, cyclic_table(3)))
+    with pytest.raises(ValidationError, match=r"^dimension mismatch: 1 != 2$"):
+        apply_paratopism(Paratopism.identity(3, 1), square)
+    with pytest.raises(ValidationError, match="^symbol permutation order does not match"):
+        apply_paratopism(Paratopism.identity(2, 2), square)
 
 
 @pytest.mark.parametrize("symbols", [(1.0, 0.0), (1, 0.0), (True, False), (1, False)])

@@ -223,6 +223,15 @@ def test_act_cli(tmp_path, capsys):
     assert got.table == tuple((y - x) % 3 for x in range(3) for y in range(3))
 
 
+def test_cli_operand_errors_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "f.lhc", ADD3)
+    assert main(["act", path, "--perm", "a b"]) == 2
+    assert capsys.readouterr().err == "error: permutation 'a b' is not a list of integers\n"
+    bad = write(tmp_path, "bad.lhc", "2 2\n0 1\n0 1\n")  # in range, not Latin
+    assert main(["compose", path, bad, "--slot", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: table is not Latin (order 2, arity 2)\n"
+
+
 def test_restrict_cli(tmp_path, capsys):
     path = write(tmp_path, "f.lhc", ADD3)
     assert main(["restrict", path, "--slot", "3", "--value", "1"]) == 0
@@ -245,6 +254,28 @@ def test_enumerate_stream_cli(tmp_path):
 
 def test_enumerate_ceiling_exits_3(capsys):
     assert main(["enumerate", "--n", "10", "--d", "2", "--cell-ceiling", "5"]) == 3
+
+
+def test_enumerate_stream_refused_before_the_file_opens(tmp_path, capsys):
+    # 2^30 cells are over the cell ceiling, and at d = 23 the search's
+    # 23 * 2^23 line indices are; either refusal leaves the file as it was
+    out = tmp_path / "out.lhcs"
+    out.write_text("kept\n")
+    for d, err in [("30", "n^d = 2^30 table cells"), ("23", "d * n^d = 23 * 2^23 search")]:
+        assert main(["enumerate", "--n", "2", "--d", d, "--stream", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {err}")
+        assert out.read_text() == "kept\n"
+    missing = str(tmp_path / "missing" / "x")
+    assert main(["enumerate", "--n", "2", "--d", "2", "--stream", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
+
+def test_enumerate_count_refused_by_the_permanent_bound(capsys):
+    # at least 10^656 reduced squares of order 32: refused, not searched
+    assert main(["enumerate", "--n", "32", "--d", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: at least (n!)^(2n) / (n^(n^2) * n! * (n-1)!) reduced squares of "
+        "order 32 exceed the ceiling of 10000000\n")
 
 
 def test_random_over_the_budget_exits_3_or_0():
@@ -445,6 +476,23 @@ def test_verify_operad_cli(capsys):
     assert main(["verify-operad", "--n", "3", "--max-degree", "2"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 5 and "fail" not in out
+
+
+def test_verify_operad_cli_prints_the_witness_of_a_failed_axiom(monkeypatch, capsys):
+    # a fault that breaks inner equivariance alone: exit 1, and the one
+    # failing line ends with its witness
+    monkeypatch.setattr("latinop.operad.embed_permutation",
+                        lambda tau, i, d: latinop.SlotPermutation.identity(d + tau.d - 1))
+    assert main(["verify-operad", "--n", "3", "--max-degree", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "closure: pass (540 checks)",
+        "sequential-associativity: pass (16200 checks)",
+        "parallel-associativity: pass (3888 checks)",
+        "unit: pass (48 checks)",
+    ]
+    assert lines[4:] == ["equivariance: fail (1872 checks) witness: inner f=(0, 1, 2) "
+                         "g=(0, 1, 2, 2, 0, 1, 1, 2, 0) tau=(2, 1) i=1"]
 
 
 def test_verify_operad_cli_refuses_oversized_permutation_lists(capsys):

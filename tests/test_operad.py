@@ -207,6 +207,10 @@ def test_slot_permutation_validation():
         SlotPermutation(3, (0, 1, 2))
     with pytest.raises(ValidationError):  # the length refuses it before 1..d is built
         SlotPermutation(10 ** 12, (1,))
+    with pytest.raises(ValidationError, match="^degree mismatch in permutation composition$"):
+        SlotPermutation.identity(2).compose(SlotPermutation.identity(3))
+    with pytest.raises(ValidationError, match=r"^degree mismatch: 3 != 2$"):
+        act(SlotPermutation.identity(3), LatinOp(2, 2, (0, 1, 1, 0)))
 
 
 @pytest.mark.parametrize("perm", [(2.0, 1), (2, 1.0), (True, 2), (2, True)])
@@ -361,6 +365,28 @@ def test_verifier_reports_act_ignoring_permutation(monkeypatch):
     assert {r.axiom: r.witness for r in report.results if not r.passed} == {
         "equivariance": "outer f=(0, 1, 2, 1, 2, 0, 2, 0, 1) g=(0, 2, 1) sigma=(2, 1) k=1"
     }
+
+
+def test_verifier_witnesses_a_fault_of_inner_equivariance_alone(monkeypatch):
+    # embedding tau as the identity breaks f o_i act(tau, g) ==
+    # act(embed(tau, i, d), f o_i g) and no other identity; at order 2
+    # every operation is symmetric, so the fault shows from order 3
+    monkeypatch.setattr(operad, "embed_permutation",
+                        lambda tau, i, d: SlotPermutation.identity(d + tau.d - 1))
+    assert verify_operad_axioms(2, 3).ok
+    report = verify_operad_axioms(3, 2)
+    assert {r.axiom: r.witness for r in report.results if not r.passed} == {
+        "equivariance": "inner f=(0, 1, 2) g=(0, 1, 2, 2, 0, 1, 1, 2, 0) tau=(2, 1) i=1"
+    }
+    assert {r.axiom: r.checks for r in report.results} == operad_check_counts(
+        {d: len(latin_tables_lex(3, d)) for d in (1, 2)})
+
+
+def test_axiom_result_keeps_the_witness_of_the_least_key():
+    result = AxiomResult("equivariance")
+    for witness, key in [("b", (1, 0)), ("a", (0, 5)), ("c", (0, 5)), ("d", (2,))]:
+        result.fail(witness, key)
+    assert not result.passed and result.witness == "a"
 
 
 def test_composite_ceilings(monkeypatch):

@@ -17,6 +17,7 @@ from latinop import (
     find_transversals,
     graph_of,
 )
+from latinop import transversal
 from latinop.cli import main
 from latinop.enumeration import enumerate_all, random_latin
 
@@ -53,6 +54,20 @@ def test_canonical_order_and_limit():
     assert found == sorted(found, key=lambda t: t.cells)
     assert find_transversals(cyclic_square(5), limit=4) == found[:4]
     assert find_transversals(cyclic_square(5), limit=0) == []
+
+
+@pytest.mark.parametrize("ceiling, tails", [("1", [0, 0, 0, 0]), ("100", [2, 2, 1, 1])])
+def test_tail_lowered_by_the_cell_ceiling_finds_the_same_transversals(monkeypatch, ceiling,
+                                                                      tails):
+    # the tail table, of 3 rows at order 7 and 2 at order 5 by default,
+    # loses rows while its bound passes the ceiling
+    cases = [cyclic_square(7), graph_of(random_latin(7, 2, 3)),
+             graph_of(LatinOp(5, 3, cyclic_table(5, 3))), graph_of(random_latin(5, 3, 1))]
+    want = [(find_transversals(L), count_transversals(L)) for L in cases]
+    assert [transversal._tail_rows(L.n, L.d, None) for L in cases] == [3, 3, 2, 2]
+    monkeypatch.setenv("LATINOP_CELL_CEILING", ceiling)
+    assert [transversal._tail_rows(L.n, L.d, None) for L in cases] == tails
+    assert [(find_transversals(L), count_transversals(L)) for L in cases] == want
 
 
 # n <= 6 and d <= 4 where the brute-force scan of (n!)^(d-1) choices
