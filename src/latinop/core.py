@@ -7,6 +7,7 @@ All types are immutable after construction.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -351,17 +352,25 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
     return True
 
 
+@functools.cache
+def _builder(cls):
+    """The function that makes an instance of the frozen dataclass ``cls``
+    from a dict of its fields, with one object.__setattr__ per field
+    written out, as dataclasses writes an __init__.  Not __dict__.update:
+    that gives each object a dict of its own, which costs memory (searches
+    return tens of thousands of transversals) and slows every later read
+    of the fields."""
+    sets = "".join(f"    setattr(obj, {f.name!r}, fields[{f.name!r}])\n" for f in dataclasses.fields(cls))
+    namespace = {"new": object.__new__, "setattr": object.__setattr__, "cls": cls}
+    exec(f"def build(fields):\n    obj = new(cls)\n{sets}    return obj\n", namespace)
+    return namespace["build"]
+
+
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with the given fields,
     built without validation: for values whose invariants hold by
     construction (search output, tables of verified operations)."""
-    obj = object.__new__(cls)
-    # not __dict__.update: that gives each object a dict of its own, which
-    # costs memory (searches return tens of thousands of transversals) and
-    # slows every later read of the fields
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+    return _builder(cls)(fields)
 
 
 def _cells(f: RawOp | CellSet) -> CellSet:

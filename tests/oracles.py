@@ -287,3 +287,21 @@ def emit_lhc_rowwise(op):
     for base in range(0, len(op.table), op.n):
         lines.append(" ".join(map(str, op.table[base:base + op.n])))
     return "\n".join(lines) + "\n"
+
+
+def brute_automorphisms(n, d, table):
+    """Every permutation iota of [0, n) with iota(f(y)) = f(iota(y)) at
+    every point y of the order-n, arity-d table, by a scan of all n!
+    maps, in lexicographic order."""
+    def at(args):
+        idx = 0
+        for a in args:
+            idx = idx * n + a
+        return table[idx]
+
+    points = list(itertools.product(range(n), repeat=d))
+    return [
+        iota
+        for iota in itertools.permutations(range(n))
+        if all(iota[at(y)] == at([iota[a] for a in y]) for y in points)
+    ]

@@ -1,18 +1,23 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latinop import (
     CeilingError,
     LatinOp,
+    RawOp,
     ValidationError,
     automorphisms,
     is_homomorphism,
 )
 from latinop.enumeration import enumerate_all, random_latin
+from latinop.morphisms import _assert_group, _generators
 
-from oracles import cyclic_table, euler_phi
+from oracles import brute_automorphisms, cyclic_table, euler_phi, latin_tables_lex
 
 
 def add_mod(n):
@@ -113,3 +118,71 @@ def test_degree3_automorphisms():
     assert tuple(range(3)) in autos
     for iota in autos:
         assert is_homomorphism(iota, f, f)
+
+
+def xor_table(n):
+    """The Cayley table of (Z/2)^k, n = 2^k: x XOR y."""
+    return tuple(x ^ y for x in range(n) for y in range(n))
+
+
+def test_automorphisms_match_brute_force_scan():
+    ops = [LatinOp(n, d, t) for n, d in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))
+           for t in latin_tables_lex(n, d)]
+    ops += [LatinOp(n, 2, random_latin(n, 2, seed=seed).table) for n in (5, 6, 7) for seed in range(20)]
+    ops.append(LatinOp(8, 2, xor_table(8)))
+    for f in ops:
+        autos = automorphisms(f)
+        assert autos == brute_automorphisms(f.n, f.d, f.table)
+        gens, _ = _generators(f)
+        assert len(gens) <= math.floor(math.log2(f.n)) + 1
+    assert len(automorphisms(ops[-1])) == 168
+
+
+def test_unary_automorphisms_match_brute_force_scan():
+    # the automorphisms of a unary map are the bijections commuting with
+    # it; for the identity every point is a generator
+    for n in range(1, 6):
+        assert _generators(LatinOp(n, 1, tuple(range(n))))[0] == list(range(n))
+        for table in itertools.product(range(n), repeat=n):
+            f = RawOp(n, 1, table)
+            assert automorphisms(f) == brute_automorphisms(n, 1, table)
+
+
+def test_identity_unary_order_8_within_seconds():
+    start = time.monotonic()
+    autos = automorphisms(LatinOp(8, 1, tuple(range(8))))
+    assert autos == sorted(itertools.permutations(range(8)))
+    assert time.monotonic() - start < 5.0
+
+
+def test_group_check_refuses_a_set_not_closed():
+    identity, a, b = (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)
+    _assert_group([identity, a, b, (1, 0, 3, 2)], 4)
+    with pytest.raises(AssertionError, match="not closed"):
+        _assert_group([identity, a, b], 4)
+    with pytest.raises(AssertionError):
+        _assert_group([a], 4)  # no identity
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.randoms(use_true_random=False),
+)
+def test_relabelling_conjugates_the_group(n, d, seed, rnd):
+    # f^pi(pi(y_1)..pi(y_d)) = pi(f(y)), so Aut(f^pi) = pi Aut(f) pi^-1
+    if n ** d > 125:
+        d = 2
+    f = random_latin(n, d, seed=seed)
+    pi = list(range(n))
+    rnd.shuffle(pi)
+    inverse = sorted(range(n), key=pi.__getitem__)
+    table = [0] * n ** d
+    for args, v in zip(f.arg_tuples(), f.table):
+        idx = 0
+        for a in args:
+            idx = idx * n + pi[a]
+        table[idx] = pi[v]
+    conjugated = sorted(tuple(pi[iota[inverse[x]]] for x in range(n)) for iota in automorphisms(f))
+    assert automorphisms(LatinOp(n, d, tuple(table))) == conjugated
