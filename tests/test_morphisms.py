@@ -128,7 +128,7 @@ def xor_table(n):
 def test_automorphisms_match_brute_force_scan():
     ops = [LatinOp(n, d, t) for n, d in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))
            for t in latin_tables_lex(n, d)]
-    ops += [LatinOp(n, 2, random_latin(n, 2, seed=seed).table) for n in (5, 6, 7) for seed in range(20)]
+    ops += [random_latin(n, 2, seed=seed) for n in (5, 6, 7) for seed in range(20)]
     ops.append(LatinOp(8, 2, xor_table(8)))
     for f in ops:
         autos = automorphisms(f)
@@ -165,15 +165,13 @@ def test_group_check_refuses_a_set_not_closed():
 
 
 @given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=3),
+    st.sampled_from([(n, d) for n in range(1, 8) for d in (1, 2)] + [(n, 3) for n in range(1, 6)]),
     st.integers(min_value=0, max_value=10 ** 6),
     st.randoms(use_true_random=False),
 )
-def test_relabelling_conjugates_the_group(n, d, seed, rnd):
+def test_relabelling_conjugates_the_group(shape, seed, rnd):
     # f^pi(pi(y_1)..pi(y_d)) = pi(f(y)), so Aut(f^pi) = pi Aut(f) pi^-1
-    if n ** d > 125:
-        d = 2
+    n, d = shape
     f = random_latin(n, d, seed=seed)
     pi = list(range(n))
     rnd.shuffle(pi)
