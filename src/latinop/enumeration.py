@@ -23,7 +23,6 @@ from .core import (
     _paratope,
     _trusted,
     _within,
-    encode,
 )
 
 DEFAULT_GROUP_CEILING = 100_000
@@ -40,33 +39,26 @@ RANDOM_BUDGET = 5 * 10 ** 5
 def _line_geometry(n: int, d: int) -> tuple:
     """Per cell, in table order, the indices of its d lines in one flat
     list of d * n^(d-1) line masks: the slot-s line through a cell is
-    entry s * n^(d-1) + (row-major index of its other d-1 coordinates)."""
+    entry s * n^(d-1) + (row-major index of its other d-1 coordinates).
+    In table order those of slot s run in blocks of n^(d-1-s) indices,
+    and each block repeats n times, sharing its int objects."""
     width = n ** (d - 1)
-    return tuple(
-        tuple(s * width + encode(cell[:s] + cell[s + 1:], n) for s in range(d))
-        for cell in itertools.product(range(n), repeat=d)
-    )
 
+    def column(s):
+        block = n ** (d - 1 - s)
+        runs = (tuple(range(a, a + block)) * n for a in range(s * width, (s + 1) * width, block))
+        return itertools.chain.from_iterable(runs)
 
-@functools.cache
-def _reduced_masks(n: int, d: int) -> tuple:
-    """Per cell, in table order, the bitmask of values a reduced table
-    may hold there: on the axis lines through the origin (cells x * e_k)
-    only x, elsewhere any value."""
-    full = (1 << n) - 1
-    return tuple(
-        1 << sum(cell) if len(cell) - cell.count(0) <= 1 else full
-        for cell in itertools.product(range(n), repeat=d)
-    )
+    return tuple(zip(*map(column, range(d))))
 
 
 def _search(n: int, d: int, ceiling: int | None = None, reduced=False, rng=None, budget=None):
     """An iterator over every Latin table of order n and arity d (if
-    ``reduced``, those whose cell m holds a value of _reduced_masks(n, d)[m])
-    in lexicographic order, or, given the random.Random ``rng``, trying each
-    cell's candidates in a random order, one drawn per try.  Refused at
-    the call if the n^d cells, or the d line indices of each, pass the
-    cell ceiling; given a budget, CeilingError is raised on the
+    ``reduced``, those with L(x * e_k) = x on every axis line through the
+    origin) in lexicographic order, or, given the random.Random ``rng``,
+    trying each cell's candidates in a random order, one drawn per try.
+    Refused at the call if the n^d cells, or the d line indices of each,
+    pass the cell ceiling; given a budget, CeilingError is raised on the
     budget-th backtrack."""
     _check_cells(n, d, ceiling)
     ceiling = _ceiling(ceiling, "cell ceiling")
@@ -94,7 +86,10 @@ def _backtrack(n: int, d: int, reduced, rng, budget):
         yield table
         return
     full = (1 << n) - 1
-    allowed = _reduced_masks(n, d) if reduced else (full,) * free
+    allowed = [full] * len(table)  # per cell, the values it may hold
+    if reduced:  # the axis cells x * n^k hold x
+        for k, x in itertools.product(range(d), range(n)):
+            allowed[x * n ** k] = 1 << x
     masks = [0] * (d * width)
     rest = [None] * free  # per searched cell below m: candidates not tried
     left = budget

@@ -177,9 +177,11 @@ def verify_operad_axioms(
 
     Each composition with a given inner operand, and each slot
     permutation, is a gather derived from the kernels and applied to
-    every table it meets: built once per verification, or once per sweep
-    over f when the inner operand is a composite or an acted operand.
-    Both sides of every check are still computed in full and compared.
+    every table it meets: built once per verification, once per sweep
+    over f when the inner operand is a composite or an acted operand, or
+    once per pass of a slot permutation when it is a block or embed
+    permutation of a composite degree.  Both sides of every check are
+    still computed in full and compared.
     """
     for name, value in (("max_degree", max_degree), ("sample_budget", sample_budget)):
         if not _int_in(value, 1):
@@ -272,45 +274,47 @@ def verify_operad_axioms(
             unit_ax.fail(f"f={f.table} (left unit)")
     report.results.append(unit_ax)
 
-    # each permutation's gather, block_permutation and embed_permutation,
-    # built once per verification
-    act_map = functools.cache(lambda perm: _permuter(n, index(len(perm)), perm))
-    block = functools.cache(block_permutation)
-    embed = functools.cache(embed_permutation)
-    perms = {
-        deg: [_trusted(SlotPermutation, d=deg, perm=p)
-              for p in itertools.permutations(range(1, deg + 1))]
-        for deg in pools
-    }
-    # acted[x][s] = act(perms[d][s], allops[x]) for d its degree, built once
-    acted = [[act_map(s.perm)(f.table) for s in perms[f.d]] for f in allops]
+    # one pass per slot permutation sigma of each pool degree d: sigma acts
+    # on the degree-d pool once, for act(sigma, f) in the outer law and
+    # act(tau, g), tau = sigma, in the inner law.  Permutation gathers come
+    # from one table up to max_degree, and are built once per pass above it.
+    # The witness is the least failing (f, g, outer before inner, sigma or tau, slot).
+    gathers = {p: _permuter(n, index(len(p)), p)
+               for d in pools for p in itertools.permutations(range(1, d + 1))}
 
-    # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
-    # inner: f o_i act(tau,g) == act(embed(tau,i,d), f o_i g), where
-    # (g, tau) runs outermost like g o_j h above; the witness is the least
-    # failing (f, g, outer before inner, sigma or tau, slot)
+    def permuter(p, built):  # p's gather: in the table, or built once per pass
+        if p not in gathers and p not in built:
+            built[p] = _permuter(n, index(len(p)), p)
+        return gathers.get(p) or built[p]
+
     equi = AxiomResult("equivariance")
-    for x, f in enumerate(allops):
-        d = f.d
-        for y, g in enumerate(allops):
-            for s, sigma in enumerate(perms[d]):
-                inv = sigma.inverse()
-                for k in range(1, d + 1):
-                    equi.checks += 1
-                    lhs = into(d, k, y)(acted[x][s])
-                    if lhs != act_map(block(sigma, k, g.d).perm)(comp[x, y, inv(k)]):
-                        equi.fail(f"outer f={f.table} g={g.table} sigma={sigma.perm} k={k}",
-                                  (x, y, 0, s, k))
-    for y, g in enumerate(allops):
-        for t, tau in enumerate(perms[g.d]):
-            for d, xs in xs_of.items():
-                for i in range(1, d + 1):
-                    equi.checks += len(xs)
-                    left = _gather(_compose_table(n, d, index(d), g.d, acted[y][t], i))
-                    right = act_map(embed(tau, i, d).perm)
-                    for x in xs:
-                        if left(allops[x].table) != right(comp[x, y, i]):
-                            equi.fail(f"inner f={allops[x].table} g={g.table} "
-                                      f"tau={tau.perm} i={i}", (x, y, 1, t, i))
+    for d, xs in xs_of.items():
+        for s, perm in enumerate(itertools.permutations(range(1, d + 1))):
+            sigma = _trusted(SlotPermutation, d=d, perm=perm)
+            acted = {x: gathers[perm](allops[x].table) for x in xs}
+            built = {}
+            # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
+            for k in range(1, d + 1):
+                j = perm.index(k) + 1  # sigma^-1(k)
+                for e, ys in xs_of.items():
+                    right = permuter(block_permutation(sigma, k, e).perm, built)
+                    for y in ys:
+                        equi.checks += len(acted)
+                        left = into(d, k, y)
+                        for x, fx in acted.items():
+                            if left(fx) != right(comp[x, y, j]):
+                                equi.fail(f"outer f={allops[x].table} g={allops[y].table} "
+                                          f"sigma={perm} k={k}", (x, y, 0, s, k))
+            # inner: f o_i act(tau,g) == act(embed(tau,i,c), f o_i g), f of degree c
+            for c, fs in xs_of.items():
+                for i in range(1, c + 1):
+                    right = permuter(embed_permutation(sigma, i, c).perm, built)
+                    for y, gy in acted.items():
+                        equi.checks += len(fs)
+                        left = _gather(_compose_table(n, c, index(c), d, gy, i))
+                        for x in fs:
+                            if left(allops[x].table) != right(comp[x, y, i]):
+                                equi.fail(f"inner f={allops[x].table} g={allops[y].table} "
+                                          f"tau={perm} i={i}", (x, y, 1, s, i))
     report.results.append(equi)
     return report

@@ -231,6 +231,24 @@ def operad_check_counts(pool_sizes):
     }
 
 
+def line_geometry(n, d):
+    """Per cell, in table order, the indices of its d lines in one flat
+    list of d * n^(d-1) lines: slot s's line through a cell is s *
+    n^(d-1) plus the row-major index of the cell without its slot-s
+    coordinate, encoded cell by cell."""
+    width = n ** (d - 1)
+    geometry = []
+    for cell in itertools.product(range(n), repeat=d):
+        lines = []
+        for s in range(d):
+            idx = 0
+            for a in cell[:s] + cell[s + 1:]:
+                idx = idx * n + a
+            lines.append(s * width + idx)
+        geometry.append(tuple(lines))
+    return tuple(geometry)
+
+
 def paratope_cells(cells, slot_perm, symbol_perms):
     """Image of a cell set under a paratopism, cell by cell: the slot-s
     entry x of a cell (1-based slots) moves to slot slot_perm[s-1] as

@@ -25,13 +25,14 @@ from latinop import (
     random_latin,
 )
 
-from latinop.enumeration import RANDOM_BUDGET, _layers, _orbit, _search
+from latinop.enumeration import RANDOM_BUDGET, _layers, _line_geometry, _orbit, _search
 from oracles import (
     count_by_generate_and_test,
     count_cubes_layered,
     count_squares_rowwise,
     cyclic_table,
     latin_tables_lex,
+    line_geometry,
     paratope_cells,
     paratopism_orbit_cells,
 )
@@ -99,9 +100,16 @@ def test_layer_budget_switch_keeps_the_order():
         assert tables == [tuple(t) for t in itertools.islice(_search(n, d), 201)], (n, d)
 
 
+def test_line_geometry_matches_the_cell_by_cell_encoding():
+    # the search's line indices, built from strides, against the
+    # definition: each cell without its slot-s coordinate, encoded
+    for n, d in [(1, 1), (1, 4), (2, 1), (3, 1), (2, 2), (4, 2), (3, 3), (5, 3), (2, 6), (3, 5)]:
+        assert _line_geometry(n, d) == line_geometry(n, d), (n, d)
+
+
 def test_reduced_search_finds_exactly_the_reduced_tables():
     # reduced: L(x * e_k) = x on every axis line through the origin
-    for n, d in [(1, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)]:
+    for n, d in [(1, 1), (3, 1), (4, 1), (1, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4)]:
         axis = [(x * n ** (d - 1 - k), x) for k in range(d) for x in range(n)]
         plain = [op.table for op in enumerate_all(n, d)
                  if all(op.table[i] == x for i, x in axis)]

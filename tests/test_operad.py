@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -425,6 +426,20 @@ def test_verifier_check_counts_match_the_closed_form(n, max_degree):
     assert report.ok and all(report.exhaustive.values())
     pools = {d: len(latin_tables_lex(n, d)) for d in range(1, max_degree + 1)}
     assert {r.axiom: r.checks for r in report.results} == operad_check_counts(pools)
+
+
+def test_verifier_memory_stays_within_one_pass():
+    # the slot-permutation sweeps keep one permutation's acted operands
+    # and composite gathers at a time, not every permutation's at once
+    tracemalloc.start()
+    try:
+        report = verify_operad_axioms(1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert {r.axiom: r.checks for r in report.results} == operad_check_counts(
+        {d: 1 for d in range(1, 6)})
 
 
 def test_verifier_refuses_an_empty_verification():
