@@ -2,10 +2,10 @@
 
 Vertices are the cells in lexicographic order; two distinct cells are
 adjacent when they agree in at least one coordinate slot.  Any d slots
-of a cell determine it, so distinct cells agree on at most d-1 slots
-(asserted while the edges are streamed), and n^(d-k) cells agree with a
-given cell on any k <= d chosen slots.  By inclusion-exclusion over the
-slots every cell has the same degree, a function of (n, d) alone.
+of a cell determine it, so distinct cells agree on at most d-1 slots,
+and n^(d-k) cells agree with a given cell on any k <= d chosen slots.
+By inclusion-exclusion over the slots every cell has the same degree, a
+function of (n, d) alone.
 """
 from __future__ import annotations
 
@@ -49,20 +49,17 @@ def _edges(L: CellSet):
 def _edge_stream(vertices, n: int, d: int):
     """Yield (i, j) for each vertex i and each later cell j that shares a
     slot value with it, j ascending.  Per slot and value a bucket holds the
-    unvisited cells; a cell in k of i's buckets shares k slots with i."""
+    unvisited cells."""
     later = [[collections.deque() for _ in range(n)] for _ in range(d + 1)]
     for i, cell in enumerate(vertices):
         for s, x in enumerate(cell):
             later[s][x].append(i)
     for i, cell in enumerate(vertices):
-        shared = collections.Counter()
+        shared = set()
         for s, x in enumerate(cell):
             later[s][x].popleft()  # i itself
             shared.update(later[s][x])
-        for j, k in sorted(shared.items()):
-            if k >= d:
-                raise AssertionError(
-                    f"distinct cells {cell} and {vertices[j]} share {k} slots")
+        for j in sorted(shared):
             yield i, j
 
 

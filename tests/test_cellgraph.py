@@ -1,10 +1,10 @@
 import collections
+import itertools
 
 import pytest
 
 from latinop import (
     CeilingError,
-    CellSet,
     GraphStats,
     LatinOp,
     RawOp,
@@ -14,8 +14,8 @@ from latinop import (
     hypercube_graph,
     unit,
 )
+from latinop import cellgraph
 from latinop.cellgraph import edge_list_lines
-from latinop.core import _trusted
 from latinop.enumeration import enumerate_all, random_latin
 
 from oracles import cyclic_table, max_shared_coordinates, pairwise_degrees, pairwise_edges
@@ -164,12 +164,26 @@ def test_edge_sequence_matches_pair_scan():
         assert list(edge_list_lines(L)) == [f"{i} {j}" for i, j in edges]
 
 
-def test_d_share_guard_trips_while_streaming():
-    # the edges of the cells before the offending pair come out first
-    L = _trusted(CellSet, n=3, d=2, table=TWO_SHARED)
-    lines = edge_list_lines(L)  # nothing is built at the call
+class StreamStopped(Exception):
+    pass
+
+
+def test_edge_listing_streams_until_a_failure(monkeypatch):
+    # nothing is built at the call, and the edges found before the stream
+    # fails come out first
+    L = graph_of(LatinOp(3, 2, cyclic_table(3)))
+    stream, started = cellgraph._edge_stream, []
+
+    def five_then_stop(vertices, n, d):
+        started.append(True)
+        yield from itertools.islice(stream(vertices, n, d), 5)
+        raise StreamStopped
+
+    monkeypatch.setattr(cellgraph, "_edge_stream", five_then_stop)
+    lines = edge_list_lines(L)
+    assert not started
     assert [next(lines) for _ in range(5)] == ["0 1", "0 2", "0 3", "0 5", "0 6"]
-    with pytest.raises(AssertionError, match=r"\(1, 1, 2\) and \(2, 1, 2\) share 2 slots"):
-        list(lines)
-    with pytest.raises(AssertionError):
+    with pytest.raises(StreamStopped):
+        next(lines)
+    with pytest.raises(StreamStopped):
         hypercube_graph(L)

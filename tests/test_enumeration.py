@@ -412,7 +412,8 @@ def test_orbit_sizes_sum_and_divide_group_order():
 
 
 def test_census_keys_are_canonical_members():
-    census = orbit_census(3, 2)
-    for canon in census:
-        assert canonical_form(canon) == canon
-        assert isinstance(canon, CellSet)
+    # (4, 2) has two classes, so a key met out of order would show there
+    for n, d in [(3, 2), (4, 2), (2, 3), (3, 3)]:
+        for canon in orbit_census(n, d):
+            assert canonical_form(canon) == canon
+            assert isinstance(canon, CellSet)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -18,9 +19,8 @@ from latinop import (
     parse_lhcs,
     parse_tsv,
 )
-from latinop import transversal
+from latinop import cellgraph, transversal
 from latinop.cli import main
-from latinop.core import _trusted
 from latinop.enumeration import enumerate_all
 
 from oracles import cyclic_table, emit_lhc_rowwise
@@ -560,19 +560,24 @@ def test_output_file_matches_stdout(tmp_path, capsys):
 # ---------------------------------------------------------------- streaming
 
 
-def test_graph_edges_written_as_found(tmp_path, monkeypatch, capsys):
-    # a table that trips the d-share guard at vertex 4: the edges of
-    # vertex 0 are on stdout before the stream fails
-    path = write(tmp_path, "f.lhc", ADD3)
-    bad = _trusted(LatinOp, n=3, d=2, table=TWO_SHARED)
-    monkeypatch.setattr("latinop.cli._load_latin", lambda path: bad)
-    with pytest.raises(AssertionError):
-        main(["graph", path, "--edges", "-"])
-    assert capsys.readouterr().out.startswith("0 1\n0 2\n0 3\n0 5\n0 6\n")
-
-
 class SearchStopped(Exception):
     pass
+
+
+def test_graph_edges_written_as_found(tmp_path, monkeypatch, capsys):
+    # the edge stream fails after the edges of vertex 0, which are
+    # already on stdout
+    path = write(tmp_path, "f.lhc", ADD3)
+    stream = cellgraph._edge_stream
+
+    def six_then_stop(vertices, n, d):
+        yield from itertools.islice(stream(vertices, n, d), 6)
+        raise SearchStopped
+
+    monkeypatch.setattr(cellgraph, "_edge_stream", six_then_stop)
+    with pytest.raises(SearchStopped):
+        main(["graph", path, "--edges", "-"])
+    assert capsys.readouterr().out == "0 1\n0 2\n0 3\n0 5\n0 6\n0 7\n"
 
 
 def test_transversals_written_as_found(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,7 @@ from latinop import (
     is_homomorphism,
 )
 from latinop.enumeration import enumerate_all, random_latin
-from latinop.morphisms import _assert_group, _generators
+from latinop.morphisms import _generators
 
 from oracles import brute_automorphisms, cyclic_table, euler_phi, latin_tables_lex
 
@@ -94,17 +94,16 @@ def test_identity_always_present_and_lexicographic():
 
 
 def test_automorphism_group_axioms_sampled():
-    for seed in range(30):
-        f = random_latin(5, 2, seed=seed)
+    # closed under inverse and composition; (Z/2)^3 has 168, a nonabelian group
+    ops = [random_latin(5, 2, seed=seed) for seed in range(30)]
+    ops += [LatinOp(8, 2, xor_table(8)), LatinOp(3, 3, cyclic_table(3, d=3))]
+    for f in ops:
         autos = automorphisms(f)
         group = set(autos)
         for a in autos:
-            inv = [0] * 5
-            for x in range(5):
-                inv[a[x]] = x
-            assert tuple(inv) in group
+            assert tuple(sorted(range(f.n), key=a.__getitem__)) in group
             for b in autos:
-                assert tuple(a[b[x]] for x in range(5)) in group
+                assert tuple(a[x] for x in b) in group
 
 
 def test_automorphism_ceiling():
@@ -153,15 +152,6 @@ def test_identity_unary_order_8_within_seconds():
     autos = automorphisms(LatinOp(8, 1, tuple(range(8))))
     assert autos == sorted(itertools.permutations(range(8)))
     assert time.monotonic() - start < 5.0
-
-
-def test_group_check_refuses_a_set_not_closed():
-    identity, a, b = (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)
-    _assert_group([identity, a, b, (1, 0, 3, 2)], 4)
-    with pytest.raises(AssertionError, match="not closed"):
-        _assert_group([identity, a, b], 4)
-    with pytest.raises(AssertionError):
-        _assert_group([a], 4)  # no identity
 
 
 @given(
