@@ -149,11 +149,11 @@ class SlotPermutation:
         """self after other: (self.compose(other))(k) = self(other(k))."""
         if self.d != other.d:
             raise ValidationError("degree mismatch in permutation composition")
-        return _trusted(SlotPermutation, d=self.d, perm=tuple(map(self, other.perm)))
+        return _trusted(SlotPermutation, self.d, tuple(map(self, other.perm)))
 
     def inverse(self) -> "SlotPermutation":
         perm = tuple(sorted(range(1, self.d + 1), key=self))  # k at position self(k)
-        return _trusted(SlotPermutation, d=self.d, perm=perm)
+        return _trusted(SlotPermutation, self.d, perm)
 
 
 def _paratope(n: int, d: int, slot_perm, symbol_perms):
@@ -262,7 +262,7 @@ def _latin(f: RawOp | CellSet) -> LatinOp | CellSet:
     if isinstance(f, (LatinOp, CellSet)):
         return f
     _check_latin(f.n, f.d, f.table)
-    return _trusted(LatinOp, n=f.n, d=f.d, table=f.table)
+    return _trusted(LatinOp, f.n, f.d, f.table)
 
 
 def _check_cell_shapes(cells, n: int, d: int) -> None:
@@ -355,22 +355,23 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
 @functools.cache
 def _builder(cls):
     """The function that makes an instance of the frozen dataclass ``cls``
-    from a dict of its fields, with one object.__setattr__ per field
-    written out, as dataclasses writes an __init__.  Not __dict__.update:
-    that gives each object a dict of its own, which costs memory (searches
-    return tens of thousands of transversals) and slows every later read
-    of the fields."""
-    sets = "".join(f"    setattr(obj, {f.name!r}, fields[{f.name!r}])\n" for f in dataclasses.fields(cls))
+    from its field values in field order, with one object.__setattr__
+    per field written out, as dataclasses writes an __init__; hot loops
+    bind it once.  Not __dict__.update: that gives each object a dict of
+    its own, which costs memory (searches return tens of thousands of
+    transversals) and slows every later read of the fields."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    sets = "".join(f"    setattr(obj, {name!r}, {name})\n" for name in names)
     namespace = {"new": object.__new__, "setattr": object.__setattr__, "cls": cls}
-    exec(f"def build(fields):\n    obj = new(cls)\n{sets}    return obj\n", namespace)
+    exec(f"def build({', '.join(names)}):\n    obj = new(cls)\n{sets}    return obj\n", namespace)
     return namespace["build"]
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with the given fields,
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass ``cls`` from its field values,
     built without validation: for values whose invariants hold by
     construction (search output, tables of verified operations)."""
-    return _builder(cls)(fields)
+    return _builder(cls)(*values)
 
 
 def _cells(f: RawOp | CellSet) -> CellSet:
@@ -378,7 +379,7 @@ def _cells(f: RawOp | CellSet) -> CellSet:
     The Latin property of a table is exactly the cell-set invariant."""
     if isinstance(f, CellSet):
         return f
-    return _trusted(CellSet, n=f.n, d=f.d, table=_latin(f).table)
+    return _trusted(CellSet, f.n, f.d, _latin(f).table)
 
 
 def graph_of(f: LatinOp) -> CellSet:
@@ -390,14 +391,14 @@ def graph_of(f: LatinOp) -> CellSet:
 
 def function_of(L: CellSet) -> LatinOp:
     """The LatinOp whose graph is L (inverse of graph_of); a RawOp must be Latin."""
-    return _trusted(LatinOp, n=L.n, d=L.d, table=_latin(L).table)
+    return _trusted(LatinOp, L.n, L.d, _latin(L).table)
 
 
 def _slot_move(f: RawOp, slot_perm) -> LatinOp:
     """f with source slot s moved to slot slot_perm[s-1]; a RawOp is Latin-checked."""
     f = _latin(f)
     table = _paratope(f.n, f.d, slot_perm, (range(f.n),) * (f.d + 1))(f.table)
-    return _trusted(LatinOp, n=f.n, d=f.d, table=table)
+    return _trusted(LatinOp, f.n, f.d, table)
 
 
 def conjugate(f: LatinOp, s: int) -> LatinOp:

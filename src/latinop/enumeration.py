@@ -15,6 +15,7 @@ from .core import (
     CellSet,
     LatinOp,
     ValidationError,
+    _builder,
     _ceiling,
     _check_cells,
     _check_perm,
@@ -33,6 +34,7 @@ LAYER_BUDGET = 10 ** 5
 # random_latin refuses after this many backtracks: (5,4) seeds take at
 # most about 4 * 10^5 nodes, while (6,3) rarely completes at all
 RANDOM_BUDGET = 5 * 10 ** 5
+REDUCED_SQUARES = (1, 1, 1, 4, 56, 9408, 16942080)  # of order 1..7, OEIS A000315
 
 
 @functools.cache
@@ -136,39 +138,46 @@ def _backtrack(n: int, d: int, reduced, rng, budget):
 
 
 def _stacked(n: int, layers: list):
-    """Yield the table of every sequence of n pairwise-disjoint entries of
-    ``layers``, a lexicographically ordered list of (mask, table) pairs,
-    each table the concatenation of the sequence's tables, in
-    lexicographic order.
+    """Yield the table of every sequence of n >= 2 pairwise-disjoint
+    entries of ``layers``, the lexicographically ordered list of every
+    Latin layer of one arity as (mask, table) pairs, each table the
+    concatenation of the sequence's tables, in lexicographic order.
 
     Depth-first on an explicit stack: the candidates of level k + 1 are
     those of level k whose mask ANDs to zero with the one chosen there.
+    Only n - 1 levels are searched: along a line, n - 1 disjoint Latin
+    layers miss each value once, at distinct cells, so the values they
+    leave free form the Latin layer that completes them, found by mask.
     """
-    pools, its, heads = [layers], [iter(layers)], [()]
+    by_mask = dict(layers)
+    full = (1 << n * len(layers[0][1])) - 1
+    pools, its, heads, useds = [layers], [iter(layers)], [()], [0]
     while its:
         for mask, table in its[-1]:
-            head = heads[-1] + table
-            if len(its) == n:
-                yield head
+            if len(its) == n - 1:
+                yield heads[-1] + table + by_mask[full ^ useds[-1] ^ mask]
                 continue
             pool = [c for c in pools[-1] if not c[0] & mask]
             pools.append(pool)
             its.append(iter(pool))
-            heads.append(head)
+            heads.append(heads[-1] + table)
+            useds.append(useds[-1] | mask)
             break
         else:
             pools.pop()
             its.pop()
             heads.pop()
+            useds.pop()
 
 
 def _layers(n: int, d: int) -> list | None:
     """Every Latin (d-1)-ary table of order n in lexicographic order, each
     paired with its mask (bit p * n + v set for value v at position p),
-    built bottom-up from the n 0-ary tables, one arity at a time.  None
-    once a list's cells times n, the cells that one path of _stacked may
-    filter, exceed LAYER_BUDGET."""
-    if n * n > LAYER_BUDGET:
+    built bottom-up from the n 0-ary tables, one arity at a time.  None at
+    order 1, whose one table the search yields at once, and once a list's
+    cells times n, the cells that one path of _stacked may filter, exceed
+    LAYER_BUDGET."""
+    if n == 1 or n * n > LAYER_BUDGET:
         return None
     layers = [(1 << v, (v,)) for v in range(n)]  # the 0-ary tables
     for k in range(1, d):  # the k-ary tables, of n^k cells each
@@ -193,7 +202,8 @@ def enumerate_all(n: int, d: int, ceiling: int | None = None):
     _check_cells(n, d, ceiling)
     layers = _layers(n, d)
     tables = _stacked(n, layers) if layers is not None else map(tuple, _search(n, d, ceiling))
-    return (_trusted(LatinOp, n=n, d=d, table=table) for table in tables)
+    make = _builder(LatinOp)
+    return (make(n, d, table) for table in tables)
 
 
 def count_all(n: int, d: int, ceiling: int | None = None) -> int:
@@ -205,13 +215,17 @@ def count_all(n: int, d: int, ceiling: int | None = None) -> int:
     each table to exactly one reduced table and acts freely, so the
     count is that order times the number of reduced tables.
 
-    A square count is refused when the reduced squares, at least
+    A square count is refused when the reduced squares exceed the cell
+    ceiling: their published number up to order 7, past it at least
     (n!)^(2n) / (n^(n^2) * n! * (n-1)!) by the Egorychev-Falikman bound
-    on the permanent (van Lint-Wilson, ch. 17), exceed the cell ceiling.
+    on the permanent (van Lint-Wilson, ch. 17).
     """
     squares = _search(n, d, ceiling, reduced=True)
-    if d == 2:  # for q = (n!)^2 // n^n, q^n / (n! * (n-1)!) is at most that bound
-        ceiling = _ceiling(ceiling, "cell ceiling")
+    ceiling = _ceiling(ceiling, "cell ceiling")
+    if d == 2 and n <= len(REDUCED_SQUARES):
+        _within(ceiling, (REDUCED_SQUARES[n - 1],), "{} reduced squares of order {} exceed the "
+                "ceiling of {}", REDUCED_SQUARES[n - 1], n, ceiling)
+    elif d == 2:  # for q = (n!)^2 // n^n, q^n / (n! * (n-1)!) is at most that bound
         q = math.factorial(n) ** 2 // n ** n
         _within(ceiling * math.factorial(n) * math.factorial(n - 1), itertools.repeat(q, n),
                 "at least (n!)^(2n) / (n^(n^2) * n! * (n-1)!) reduced squares of order {} "
@@ -228,7 +242,7 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
     Raises CeilingError after RANDOM_BUDGET backtracks without one.
     """
     tables = _search(n, d, ceiling, rng=random.Random(seed), budget=RANDOM_BUDGET)
-    return _trusted(LatinOp, n=n, d=d, table=tuple(next(tables)))
+    return _trusted(LatinOp, n, d, tuple(next(tables)))
 
 
 @dataclass(frozen=True)
@@ -268,8 +282,7 @@ class Paratopism:
     @classmethod
     def identity(cls, n: int, d: int) -> "Paratopism":
         _check_shape(n, d, "dimension")
-        return _trusted(cls, slot_perm=tuple(range(1, d + 2)),
-                        symbol_perms=(tuple(range(n)),) * (d + 1))
+        return _trusted(cls, tuple(range(1, d + 2)), (tuple(range(n)),) * (d + 1))
 
     @classmethod
     def random(cls, n: int, d: int, rng: random.Random) -> "Paratopism":
@@ -281,7 +294,7 @@ class Paratopism:
             p = list(range(n))
             rng.shuffle(p)
             perms.append(tuple(p))
-        return _trusted(cls, slot_perm=tuple(slots), symbol_perms=tuple(perms))
+        return _trusted(cls, tuple(slots), tuple(perms))
 
     def compose(self, other: "Paratopism") -> "Paratopism":
         """self after other, as actions on cells."""
@@ -292,7 +305,7 @@ class Paratopism:
         slots = tuple(self.slot_perm[t - 1] for t in other.slot_perm)
         perms = tuple(tuple(self.symbol_perms[t - 1][x] for x in p)
                       for t, p in zip(other.slot_perm, other.symbol_perms))
-        return _trusted(Paratopism, slot_perm=slots, symbol_perms=perms)
+        return _trusted(Paratopism, slots, perms)
 
 
 def apply_paratopism(p: Paratopism, L: CellSet) -> CellSet:
@@ -302,7 +315,7 @@ def apply_paratopism(p: Paratopism, L: CellSet) -> CellSet:
     if p.n != L.n:
         raise ValidationError("symbol permutation order does not match carrier")
     table = _paratope(L.n, L.d, p.slot_perm, p.symbol_perms)(_latin(L).table)
-    return _trusted(CellSet, n=L.n, d=L.d, table=table)
+    return _trusted(CellSet, L.n, L.d, table)
 
 
 def paratopism_group_order(n: int, d: int) -> int:
@@ -354,7 +367,7 @@ def canonical_form(L: CellSet, ceiling: int | None = None) -> CellSet:
     Two hypercubes, or Latin RawOps, are paratopic iff their canonical forms coincide.
     """
     _check_group_ceiling(L.n, L.d, ceiling)
-    return _trusted(CellSet, n=L.n, d=L.d, table=min(_orbit(L.n, L.d, _latin(L).table)))
+    return _trusted(CellSet, L.n, L.d, min(_orbit(L.n, L.d, _latin(L).table)))
 
 
 def orbit_census(n: int, d: int, ceiling: int | None = None,
@@ -370,5 +383,5 @@ def orbit_census(n: int, d: int, ceiling: int | None = None,
             continue
         orbit = _orbit(n, d, op.table)
         seen |= orbit
-        census[_trusted(CellSet, n=n, d=d, table=op.table)] = len(orbit)
+        census[_trusted(CellSet, n, d, op.table)] = len(orbit)
     return census

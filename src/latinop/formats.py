@@ -76,7 +76,7 @@ def _record(toks) -> RawOp:
         )
     # every RawOp invariant is checked above, with a position
     table = tuple([_symbol(tok, n) for tok in body])
-    return _trusted(RawOp, n=n, d=d, table=table)
+    return _trusted(RawOp, n, d, table)
 
 
 def emit_lhc(op: RawOp) -> str:

@@ -35,7 +35,7 @@ from .core import (
 def unit(n: int) -> LatinOp:
     """The identity map, the degree-1 operad unit."""
     _check_shape(n, 1)
-    return _trusted(LatinOp, n=n, d=1, table=tuple(range(n)))
+    return _trusted(LatinOp, n, 1, tuple(range(n)))
 
 
 def _compose_table(n, d, ftab, e, gtab, i):
@@ -59,7 +59,7 @@ def compose_at(f: LatinOp, g: LatinOp, i: int) -> LatinOp:
     _check_composable(f, g, i)
     f, g = _latin(f), _latin(g)
     table = _compose_table(f.n, f.d, f.table, g.d, g.table, i)
-    return _trusted(LatinOp, n=f.n, d=f.d + g.d - 1, table=table)
+    return _trusted(LatinOp, f.n, f.d + g.d - 1, table)
 
 
 def act(sigma: SlotPermutation, f: LatinOp) -> LatinOp:
@@ -83,7 +83,7 @@ def compose_perm_at(sigma: SlotPermutation, tau: SlotPermutation, i: int) -> Slo
             out.extend(i - 1 + t for t in tau.perm)
         else:
             out.append(v if v < i else v + e - 1)
-    return _trusted(SlotPermutation, d=d + e - 1, perm=tuple(out))
+    return _trusted(SlotPermutation, d + e - 1, tuple(out))
 
 
 def block_permutation(sigma: SlotPermutation, i: int, e: int) -> SlotPermutation:
@@ -290,7 +290,7 @@ def verify_operad_axioms(
     equi = AxiomResult("equivariance")
     for d, xs in xs_of.items():
         for s, perm in enumerate(itertools.permutations(range(1, d + 1))):
-            sigma = _trusted(SlotPermutation, d=d, perm=perm)
+            sigma = _trusted(SlotPermutation, d, perm)
             acted = {x: gathers[perm](allops[x].table) for x in xs}
             built = {}
             # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)

@@ -66,4 +66,4 @@ def restrict(L: CellSet, s: int, c: int) -> CellSet:
         table = tuple(L.table.index(c, k, k + L.n) - k for k in range(0, len(L.table), L.n))
     else:
         table = _compose_table(L.n, L.d, L.table, 0, (c,), s)
-    return _trusted(CellSet, n=L.n, d=L.d - 1, table=table)
+    return _trusted(CellSet, L.n, L.d - 1, table)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from .core import (
     CellSet,
     ValidationError,
+    _builder,
     _check_cell_shapes,
     _check_shape,
     _first_bad,
     _int_in,
-    _trusted,
     cell_ceiling,
     encode,
 )
@@ -169,9 +169,9 @@ def _transversals(L: CellSet, limit: int | None):
     number that find_transversals lists them."""
     if _none_asked(limit):
         return
-    n, d = L.n, L.d
-    found = (_trusted(Transversal, n=n, d=d, cells=(*head, *tail))
-             for head, tails in _joins(L, limit) for tail in tails)
+    n, d, make = L.n, L.d, _builder(Transversal)
+    heads = ((tuple(head), tails) for head, tails in _joins(L, limit))
+    found = (make(n, d, head + tail) for head, tails in heads for tail in tails)
     yield from itertools.islice(found, limit)
 
 
@@ -229,10 +229,11 @@ def delta_check(T: Transversal, n: int | None = None) -> DeltaReport:
     Expected value: 0 for odd dimension; for even dimension the sum of
     involutions of Z/n, which is 0 for odd n and n/2 for even n.
     """
-    n = T.n if n is None else n
-    _check_shape(n)
-    if n != T.n:
-        raise ValidationError(f"carrier mismatch: {n} != {T.n}")
+    if n is not None:  # T.n itself was checked where T was built
+        _check_shape(n)
+        if n != T.n:
+            raise ValidationError(f"carrier mismatch: {n} != {T.n}")
+    n = T.n
     cols = list(zip(*T.cells))  # entries validated at construction
     computed = (sum(map(sum, cols[0::2])) - sum(map(sum, cols[1::2]))) % n
     expected = 0 if T.d % 2 or n % 2 else n // 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from latinop import (
     CellSet,
     LatinOp,
+    Paratopism,
     RawOp,
+    SlotPermutation,
+    Transversal,
     ValidationError,
     conjugate,
     function_of,
@@ -13,7 +17,7 @@ from latinop import (
     is_latin,
     is_latin_cellset,
 )
-from latinop.core import _latin
+from latinop.core import _latin, _trusted
 from latinop.enumeration import enumerate_all
 
 from oracles import cyclic_table, table_is_latin
@@ -96,6 +100,25 @@ def test_latin_check_of_raw_op_matches_constructor():
                 op = _latin(raw)
                 assert type(op) is LatinOp and op == expected
                 assert hash(op) == hash(expected)
+
+
+def test_trusted_builds_are_the_validated_objects():
+    # every class built trusted, from its field values in field order, is
+    # the object its validating constructor builds; Transversal keeps its
+    # slots and gets no __dict__
+    objects = [
+        RawOp(2, 2, (0, 0, 1, 0)),
+        LatinOp(3, 2, cyclic_table(3)),
+        CellSet(2, 1, [(0, 1), (1, 0)]),
+        SlotPermutation(3, (2, 3, 1)),
+        Paratopism((2, 1, 3), ((1, 0), (0, 1), (1, 0))),
+        Transversal(3, 2, ((0, 0, 0), (1, 2, 1), (2, 1, 2))),
+    ]
+    for obj in objects:
+        built = _trusted(type(obj), *(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+        assert type(built) is type(obj)
+        assert built == obj and hash(built) == hash(obj) and repr(built) == repr(obj)
+    assert not hasattr(built, "__dict__")
 
 
 def test_graph_of_identity():

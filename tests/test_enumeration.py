@@ -90,6 +90,18 @@ def test_reduced_count_equals_plain_kernel_leaf_count():
         assert count_all(n, d) == count, (n, d)
 
 
+def test_layers_are_the_plain_kernel_tables():
+    # _layers stacks each arity through the forced last layer; wherever
+    # it returns a list, it holds the plain kernel's tables in order,
+    # each with the mask of its (position, value) pairs
+    shapes = [(n, d) for n in range(1, 8) for d in range(2, 7) if _layers(n, d) is not None]
+    assert {(3, 6), (4, 3), (5, 2), (6, 2)} <= set(shapes)
+    for n, d in shapes:
+        layers = _layers(n, d)
+        assert [t for _, t in layers] == [tuple(t) for t in _search(n, d - 1)], (n, d)
+        assert all(m == sum(1 << p * n + v for p, v in enumerate(t)) for m, t in layers)
+
+
 def test_layer_budget_switch_keeps_the_order():
     # over the budget enumerate_all searches cell by cell from the start,
     # so its first tables come at once and in the same order
@@ -209,13 +221,20 @@ def test_square_counts_refused_by_the_permanent_bound(monkeypatch):
                                                rf"{n} exceed the ceiling of 10000000$"):
             count_all(n, 2)
         assert time.perf_counter() - start < 1
+    # up to order 7 the published count is the bound: order 7 is refused
+    start = time.perf_counter()
+    with pytest.raises(CeilingError, match="^16942080 reduced squares of order 7 exceed the "
+                                           "ceiling of 10000000$"):
+        count_all(7, 2)
+    assert time.perf_counter() - start < 1
     # the bound stays below the true count: no ceiling that holds the
     # reduced squares refuses them (the search itself stubbed out)
     monkeypatch.setattr("latinop.enumeration._search", lambda *args, **kwargs: iter(()))
     for n, reduced in enumerate(REDUCED_SQUARES, 1):
         assert count_all(n, 2, ceiling=reduced) == 0
-    # the least ceiling let through: q^n / (n! * (n-1)!) rounded up
-    for n, least in [(6, 21), (7, 6027), (8, 35499220)]:
+    # the least ceiling let through: the published count, then from
+    # order 8 q^n / (n! * (n-1)!) rounded up
+    for n, least in [(6, 9408), (7, 16942080), (8, 35499220)]:
         assert count_all(n, 2, ceiling=least) == 0
         with pytest.raises(CeilingError, match="reduced squares"):
             count_all(n, 2, ceiling=least - 1)

@@ -249,6 +249,12 @@ def test_transversal_count_is_paratopism_invariant():
 
 
 def test_delta_check_carrier_mismatch():
+    # a given order is checked and matched against T's; with none, T's
+    # own, checked where T was built, selects the shared report
     t = Transversal(2, 1, ((0, 0), (1, 1)))
-    with pytest.raises(ValidationError):
+    for n in (0, 2.0, True, "2"):
+        with pytest.raises(ValidationError, match="carrier order must be >= 1"):
+            delta_check(t, n)
+    with pytest.raises(ValidationError, match="carrier mismatch: 3 != 2"):
         delta_check(t, 3)
+    assert delta_check(t) is delta_check(t, 2) is transversal._delta_report(0, 0)
