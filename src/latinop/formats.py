@@ -15,6 +15,7 @@ import re
 from .core import RawOp, ValidationError, _check_cells, _trusted
 
 _TOKEN = re.compile(r"\S+")
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class FormatError(ValidationError):
@@ -79,11 +80,22 @@ def _record(toks) -> RawOp:
     return _trusted(RawOp, n, d, table)
 
 
+def _lines(values: tuple, n: int, width: int) -> str:
+    """Symbols in [0, n) as lines of `width` space-separated entries: up to
+    order 10, one-digit symbols as bytes, each line closed by a newline in
+    place of its last space; above it, one row template per call."""
+    if n <= 10:
+        body = bytearray(b" ") * (2 * len(values))
+        body[::2] = bytes(values).translate(_DIGITS)
+        body[2 * width - 1::2 * width] = b"\n" * (len(values) // width)
+        return body.decode()
+    row = " ".join(["%s"] * width) + "\n"
+    return row * (len(values) // width) % values
+
+
 def emit_lhc(op: RawOp) -> str:
-    """Serialize an operation or a hypercube; one line of n symbols per innermost row,
-    formatted in one operation from a row template built per call."""
-    row = " ".join(["%s"] * op.n) + "\n"
-    return f"{op.n} {op.d}\n" + row * (len(op.table) // op.n) % op.table
+    """Serialize an operation or a hypercube; one line of n symbols per innermost row."""
+    return f"{op.n} {op.d}\n" + _lines(op.table, op.n, op.n)
 
 
 def parse_lhcs(text: str) -> list:
@@ -123,4 +135,5 @@ def parse_tsv(text: str, n: int, d: int) -> Transversal:
 
 
 def emit_tsv(t: Transversal) -> str:
-    return "\n".join(" ".join(map(str, cell)) for cell in t.cells) + "\n"
+    """One line of d + 1 symbols per cell."""
+    return _lines(tuple(itertools.chain.from_iterable(t.cells)), t.n, t.d + 1)

@@ -307,6 +307,11 @@ def emit_lhc_rowwise(op):
     return "\n".join(lines) + "\n"
 
 
+def emit_tsv_rowwise(t):
+    """The .tsv text of a transversal, joined a cell at a time."""
+    return "".join(" ".join(map(str, cell)) + "\n" for cell in t.cells)
+
+
 def brute_automorphisms(n, d, table):
     """Every permutation iota of [0, n) with iota(f(y)) = f(iota(y)) at
     every point y of the order-n, arity-d table, by a scan of all n!

@@ -23,7 +23,7 @@ from latinop import cellgraph, transversal
 from latinop.cli import main
 from latinop.enumeration import enumerate_all
 
-from oracles import cyclic_table, emit_lhc_rowwise
+from oracles import cyclic_table, emit_lhc_rowwise, emit_tsv_rowwise
 from test_cellgraph import TWO_SHARED
 from test_cellset import FILES
 
@@ -67,7 +67,8 @@ def test_round_trip_all_enumerated_small():
                 assert parse_lhc(emit_lhc(op)) == RawOp(op.n, op.d, op.table)
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.randoms(use_true_random=False))
+# orders on both sides of 10, where symbols stop being one digit
+@given(st.integers(1, 12), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_round_trip_random_tables(n, d, rnd):
     table = tuple(rnd.randrange(n) for _ in range(n ** d))
     op = RawOp(n, d, table)
@@ -150,6 +151,21 @@ def test_tsv_round_trip():
 
     t = Transversal(3, 2, ((0, 0, 0), (1, 1, 1), (2, 2, 2)))
     assert parse_tsv(emit_tsv(t), 3, 2) == t
+
+
+def test_emit_tsv_matches_rowwise_join():
+    from latinop import Transversal
+
+    # one-digit symbols at orders 9 and 3, two-digit ones at order 11
+    lists = [transversal.find_transversals(graph_of(LatinOp(n, d, cyclic_table(n, d))))
+             for n, d in ((9, 2), (11, 2), (3, 3))]
+    assert list(map(len, lists)) == [2025, 37851, 27]
+    found = [t for ts in lists for t in ts]
+    # a transversal need not lie in a square: cyclic order 10 has none
+    found += [Transversal(n, 2, tuple((k, (k + 1) % n, n - 1 - k) for k in range(n)))
+              for n in (1, 10, 11)]
+    for t in found:
+        assert emit_tsv(t) == emit_tsv_rowwise(t)
 
 
 def test_tsv_errors():
