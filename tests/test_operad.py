@@ -339,6 +339,12 @@ def test_verifier_reports_flipped_composites(monkeypatch):
         "unit": True,
         "equivariance": True,
     }
+    # the parallel-associativity witness is the first failing (f, g, h, i,
+    # k) in pool order, whatever order the verifier's loops run in
+    for max_degree in (2, 3):
+        report = verify_operad_axioms(2, max_degree)
+        assert {r.axiom: r.witness for r in report.results}["parallel-associativity"] == (
+            "f=(0, 1, 1, 0) g=(1, 0) h=(0, 1, 1, 0) i=1 k=2")
 
 
 def test_verifier_witnesses_the_least_failing_sequential_tuple(monkeypatch):
@@ -358,6 +364,34 @@ def test_verifier_witnesses_the_least_failing_sequential_tuple(monkeypatch):
     ]:
         report = verify_operad_axioms(2, max_degree)
         assert {r.axiom: r.witness for r in report.results}["sequential-associativity"] == witness
+
+
+def test_verifier_sweeps_the_pool_where_a_law_fails_on_some_operations(monkeypatch):
+    # swapping cells (0, 0) and (1, 1) of every order-3 square composed
+    # with g = (1, 2, 0) moves two cell indices, so those laws differ on
+    # the index table; the swap shows only for the f whose two cells hold
+    # different symbols, so the sweep over f meets passing and failing f
+    compose = operad._compose_table
+
+    def swapped(n, d, ftab, e, gtab, i):
+        tab = list(compose(n, d, ftab, e, gtab, i))
+        if n == 3 and d + e - 1 == 2 and gtab == (1, 2, 0):
+            tab[0], tab[4] = tab[4], tab[0]
+        return tuple(tab)
+
+    monkeypatch.setattr(operad, "_compose_table", swapped)
+    report = verify_operad_axioms(3, 2)
+    assert {r.axiom: r.witness for r in report.results} == {
+        "closure": "f=(0, 1, 2, 1, 2, 0, 2, 0, 1) g=(1, 2, 0) i=1",
+        "sequential-associativity":
+            "f=(0, 1, 2, 1, 2, 0, 2, 0, 1) g=(0, 2, 1) h=(2, 1, 0) i=1 j=1",
+        "parallel-associativity":
+            "f=(0, 1, 2, 1, 2, 0, 2, 0, 1) g=(0, 2, 1) h=(1, 2, 0) i=1 k=2",
+        "unit": None,
+        "equivariance": None,
+    }
+    assert {r.axiom: r.checks for r in report.results} == operad_check_counts(
+        {d: len(latin_tables_lex(3, d)) for d in (1, 2)})
 
 
 def test_verifier_reports_act_ignoring_permutation(monkeypatch):
@@ -420,11 +454,15 @@ def test_verifier_refuses_its_permutation_lists_over_the_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("n, max_degree", [
     (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1),
+    (3, 3),
 ])
 def test_verifier_check_counts_match_the_closed_form(n, max_degree):
+    # at (3, 3) the 576 cubes exceed the default budget of 200, so that
+    # pool is a sample of 200
     report = verify_operad_axioms(n, max_degree)
-    assert report.ok and all(report.exhaustive.values())
-    pools = {d: len(latin_tables_lex(n, d)) for d in range(1, max_degree + 1)}
+    counts = {d: len(latin_tables_lex(n, d)) for d in range(1, max_degree + 1)}
+    assert report.ok and report.exhaustive == {d: c <= 200 for d, c in counts.items()}
+    pools = {d: min(c, 200) for d, c in counts.items()}
     assert {r.axiom: r.checks for r in report.results} == operad_check_counts(pools)
 
 
