@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import os
+import types
 from dataclasses import dataclass
 
 DEFAULT_CELL_CEILING = 10 ** 7
@@ -355,15 +356,25 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
 @functools.cache
 def _builder(cls):
     """The function that makes an instance of the frozen dataclass ``cls``
-    from its field values in field order, with one object.__setattr__
-    per field written out, as dataclasses writes an __init__; hot loops
-    bind it once.  Not __dict__.update: that gives each object a dict of
-    its own, which costs memory (searches return tens of thousands of
-    transversals) and slows every later read of the fields."""
+    from its field values in field order, with one write per field
+    written out, as dataclasses writes an __init__; hot loops bind it
+    once.  A slot is written through its member descriptor's __set__,
+    which skips object.__setattr__'s lookup by name.  Not
+    __dict__.update: that gives each object a dict of its own, which
+    costs memory (searches return tens of thousands of transversals)
+    and slows every later read of the fields."""
     names = [f.name for f in dataclasses.fields(cls)]
-    sets = "".join(f"    setattr(obj, {name!r}, {name})\n" for name in names)
     namespace = {"new": object.__new__, "setattr": object.__setattr__, "cls": cls}
-    exec(f"def build({', '.join(names)}):\n    obj = new(cls)\n{sets}    return obj\n", namespace)
+    sets = []
+    for name in names:
+        slot = getattr(cls, name, None)
+        if isinstance(slot, types.MemberDescriptorType):
+            namespace[f"set_{name}"] = slot.__set__
+            sets.append(f"    set_{name}(obj, {name})\n")
+        else:
+            sets.append(f"    setattr(obj, {name!r}, {name})\n")
+    exec(f"def build({', '.join(names)}):\n    obj = new(cls)\n{''.join(sets)}    return obj\n",
+         namespace)
     return namespace["build"]
 
 

@@ -179,6 +179,16 @@ def brute_transversals(n, d, table):
     return sorted(found)
 
 
+def cells_alternating_sum(n, cells):
+    """The sum over the cells of x_1 - x_2 + x_3 - ..., reduced mod n,
+    entry by entry."""
+    total = 0
+    for cell in cells:
+        for i, x in enumerate(cell):
+            total += -x if i % 2 else x
+    return total % n
+
+
 def compose_permutations(p, q):
     """(p after q)(x) = p(q(x)) as value tuples."""
     return tuple(p[q[x]] for x in range(len(p)))

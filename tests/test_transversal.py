@@ -21,7 +21,12 @@ from latinop import transversal
 from latinop.cli import main
 from latinop.enumeration import enumerate_all, random_latin
 
-from oracles import brute_transversals, brute_transversals_of_square, cyclic_table
+from oracles import (
+    brute_transversals,
+    brute_transversals_of_square,
+    cells_alternating_sum,
+    cyclic_table,
+)
 
 
 def cyclic_square(n):
@@ -96,6 +101,12 @@ def test_kernel_matches_any_dimension_brute_force():
         found = find_transversals(L)
         assert [t.cells for t in found] == want, (n, d, L.table)
         assert count_transversals(L) == len(want)
+        # a search result, its sum carried from the search, is the
+        # transversal its validating constructor builds from the cells
+        for t in found:
+            built = Transversal(n, d, t.cells)
+            assert t == built and hash(t) == hash(built) and repr(t) == repr(built)
+            assert delta_check(t) is delta_check(built)
         # every limit on small counts, the ends and the quartiles on large ones
         count = len(want)
         limits = range(count + 2) if count <= 64 else [
@@ -105,6 +116,42 @@ def test_kernel_matches_any_dimension_brute_force():
         for limit in limits:
             assert find_transversals(L, limit=limit) == found[:limit]
             assert count_transversals(L, limit) == min(count, limit)
+
+
+def test_even_orders_split_evenly():
+    # n//2 tail rows: half the rows at even n, the heads one row longer
+    # at odd n
+    assert [transversal._tail_rows(n, 2, None) for n in range(1, 12)] == [
+        0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_delta_check_sums_the_chosen_cells(monkeypatch, row):
+    # one cell's mask claims the next value of the last slot instead of
+    # its own, so the search also returns cell sequences that repeat a
+    # value; the sum each result carries must still be that of its
+    # cells, which then misses the lemma's value.  A sum read from the
+    # used-masks, or the closed form n(n-1)/2 per column, would pass them
+    rows_of = transversal._rows
+
+    def lying_rows(L):
+        rows = rows_of(L)
+        mask, cell, alt = rows[row][0]
+        shift, v = (L.d - 1) * L.n, cell[-1]
+        lie = 1 << shift + v | 1 << shift + (v + 1) % L.n
+        rows[row][0] = (mask ^ lie, cell, alt)
+        return rows
+
+    monkeypatch.setattr(transversal, "_rows", lying_rows)
+    for n in (5, 6, 7):
+        repeats = [t for seed in range(1, 8)
+                   for t in find_transversals(graph_of(random_latin(n, 2, seed)))
+                   if len({c[-1] for c in t.cells}) < n]
+        assert repeats, n
+        for t in repeats:
+            report = delta_check(t)
+            assert report.computed == cells_alternating_sum(n, t.cells)
+            assert not report.passed
 
 
 def test_transversals_live_in_host():
