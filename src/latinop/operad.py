@@ -163,6 +163,19 @@ def _permuter(n, cells, perm):
     return _gather(_paratope(n, d, (*perm, d + 1), (range(n),) * d + (cells,))(cells))
 
 
+def _sweep(law, ops, xs, left, right, key, others, label=""):
+    """Record the witness of a law whose two sides, the gathers of f by
+    the index tuples left and right, differ on f's index table.  The
+    first f = ops[x], x in xs, that they differ on has the least key
+    (x, *key) of the sweep; its witness reads label, f, then others."""
+    left, right = _gather(left), _gather(right)
+    for x in xs:
+        f = ops[x].table
+        if left(f) != right(f):
+            law.fail(f"{label}f={f} {others}", (x, *key))
+            return
+
+
 def verify_operad_axioms(
     n: int, max_degree: int, sample_budget: int = 200, seed: int = 0
 ) -> OperadReport:
@@ -184,8 +197,10 @@ def verify_operad_axioms(
     equivariance law are gathers of f, so each law is settled once per
     tuple of the other operands and slots, on the table of f's cell
     indices; where the two sides differ there, the law runs over every f
-    of the pool to find the witness.  The count of checks is still that
-    of the (f, g, h, slots) instances each law is settled for.
+    of the pool to find the witness.  Each composite of two pool
+    operations is built once, as an inner operand of sequential
+    associativity, and checked for closure there.  The count of checks is
+    still that of the (f, g, h, slots) instances each law is settled for.
     """
     for name, value in (("max_degree", max_degree), ("sample_budget", sample_budget)):
         if not _int_in(value, 1):
@@ -201,8 +216,8 @@ def verify_operad_axioms(
     allops = [op for deg in sorted(pools) for op in pools[deg]]
     xs_of = {d: [x for x, f in enumerate(allops) if f.d == d] for d in pools}
 
-    # comp[x, y, i] = allops[x] o_i allops[y], built once: the closure
-    # table, and an operand of the associativity and equivariance checks
+    # the cells of every composite allops[x] o_i allops[y], which the
+    # closure check builds one at a time
     cells = sum(
         len(pools[d]) * len(pools[e]) * d * n ** (d + e - 1)
         for d in pools
@@ -211,54 +226,45 @@ def verify_operad_axioms(
     _within(ceiling, (cells,), "{} cells of pool composites exceed the ceiling of {}",
             cells, ceiling)
 
-    # index(d) is the table of an arity-d table's cell indices: a kernel
+    # index[d] is the table of an arity-d table's cell indices: a kernel
     # applied to it gives the gather of its map.  Each index is one int
     # object, shared by every gather.
-    index = functools.cache(lambda d: tuple(range(n ** d)))
+    index = {d: tuple(range(n ** d)) for d in range(1, 2 * max_degree)}
 
     @functools.cache  # the cell indices of "any arity-d table o_i allops[y]"
     def cells_into(d, i, y):
-        return _compose_table(n, d, index(d), allops[y].d, allops[y].table, i)
+        return _compose_table(n, d, index[d], allops[y].d, allops[y].table, i)
 
-    # its gather, built once: itemgetter keeps the index tuple it is given
-    into = functools.cache(lambda d, i, y: _gather(cells_into(d, i, y)))
-
-    comp = {}
-    closure = AxiomResult("closure")
-    for x, f in enumerate(allops):
-        for y, g in enumerate(allops):
-            for i in range(1, f.d + 1):
-                closure.checks += 1
-                tab = comp[x, y, i] = into(f.d, i, y)(f.table)
-                if _non_latin_slot(n, f.d + g.d - 1, tab):
-                    closure.fail(f"f={f.table} g={g.table} i={i}")
-    report.results.append(closure)
+    @functools.cache  # its gather: itemgetter keeps the index tuple it is given
+    def into(d, i, y):
+        return _gather(cells_into(d, i, y))
 
     # Both sides of each law below are gathers of f: if they agree on
-    # index(d), they agree on every f of degree d, and the sweep over f
+    # index[d], they agree on every f of degree d, and the sweep over f
     # runs only where they differ, to find the witness.
 
     # (f o_i g) o_{i-1+j} h == f o_i (g o_j h).  The inner operand g o_j h
     # is a composite, so (y, z, j) runs outermost and each gather into it
     # lives for one sweep over f; the witness is the least failing tuple.
+    # Closure is checked on each g o_j h, in the (f, g, i) order of its law.
+    closure = AxiomResult("closure")
     seq = AxiomResult("sequential-associativity")
     for y, g in enumerate(allops):
         for z, h in enumerate(allops):
             for j in range(1, g.d + 1):
-                gh = comp[y, z, j]
+                closure.checks += 1
+                gh = into(g.d, j, z)(g.table)
+                if _non_latin_slot(n, g.d + h.d - 1, gh):
+                    closure.fail(f"f={g.table} g={h.table} i={j}")
                 for d, xs in xs_of.items():
                     for i in range(1, d + 1):
                         seq.checks += len(xs)
-                        left = into(d + g.d - 1, i - 1 + j, z)
-                        right = _compose_table(n, d, index(d), g.d + h.d - 1, gh, i)
-                        if left(cells_into(d, i, y)) == right:
-                            continue
-                        right = _gather(right)
-                        for x in xs:
-                            if left(comp[x, y, i]) != right(allops[x].table):
-                                seq.fail(f"f={allops[x].table} g={g.table} h={h.table} "
-                                         f"i={i} j={j}", (x, y, z, i, j))
-    report.results.append(seq)
+                        left = into(d + g.d - 1, i - 1 + j, z)(cells_into(d, i, y))
+                        right = _compose_table(n, d, index[d], g.d + h.d - 1, gh, i)
+                        if left != right:
+                            _sweep(seq, allops, xs, left, right, (y, z, i, j),
+                                   f"g={g.table} h={h.table} i={i} j={j}")
+    report.results += [closure, seq]
 
     # (f o_i g) o_{k+e-1} h == (f o_k h) o_i g for i < k <= d; the
     # witness is the least failing (f, g, h, i, k)
@@ -269,14 +275,11 @@ def verify_operad_axioms(
                 for i in range(1, d + 1):
                     for k in range(i + 1, d + 1):
                         par.checks += len(xs)
-                        left = into(d + g.d - 1, k + g.d - 1, z)
-                        right = into(d + h.d - 1, i, y)
-                        if left(cells_into(d, i, y)) == right(cells_into(d, k, z)):
-                            continue
-                        for x in xs:
-                            if left(comp[x, y, i]) != right(comp[x, z, k]):
-                                par.fail(f"f={allops[x].table} g={g.table} h={h.table} "
-                                         f"i={i} k={k}", (x, y, z, i, k))
+                        left = into(d + g.d - 1, k + g.d - 1, z)(cells_into(d, i, y))
+                        right = into(d + h.d - 1, i, y)(cells_into(d, k, z))
+                        if left != right:
+                            _sweep(par, allops, xs, left, right, (y, z, i, k),
+                                   f"g={g.table} h={h.table} i={i} k={k}")
     report.results.append(par)
 
     unit_ax = AxiomResult("unit")
@@ -292,16 +295,17 @@ def verify_operad_axioms(
     report.results.append(unit_ax)
 
     # one pass per slot permutation sigma of each pool degree d: sigma acts
-    # on the degree-d pool once, for act(sigma, f) in the outer law and
-    # act(tau, g), tau = sigma, in the inner law.  Permutation gathers come
-    # from one table up to max_degree, and are built once per pass above it.
-    # The witness is the least failing (f, g, outer before inner, sigma or tau, slot).
-    gathers = {p: _permuter(n, index(len(p)), p)
+    # on the degree-d pool once, for act(tau, g), tau = sigma, in the inner
+    # law, and on index[d] once, for act(sigma, f) in the outer law.
+    # Permutation gathers come from one table up to max_degree, and are
+    # built once per pass above it.  The witness is the least failing
+    # (f, g, outer before inner, sigma or tau, slot).
+    gathers = {p: _permuter(n, index[len(p)], p)
                for d in pools for p in itertools.permutations(range(1, d + 1))}
 
     def permuter(p, built):  # p's gather: in the table, or built once per pass
         if p not in gathers and p not in built:
-            built[p] = _permuter(n, index(len(p)), p)
+            built[p] = _permuter(n, index[len(p)], p)
         return gathers.get(p) or built[p]
 
     equi = AxiomResult("equivariance")
@@ -309,35 +313,29 @@ def verify_operad_axioms(
         for s, perm in enumerate(itertools.permutations(range(1, d + 1))):
             sigma = _trusted(SlotPermutation, d, perm)
             acted = {x: gathers[perm](allops[x].table) for x in xs}
-            moved = gathers[perm](index(d))
+            moved = gathers[perm](index[d])
             built = {}
             # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
             for k in range(1, d + 1):
                 j = perm.index(k) + 1  # sigma^-1(k)
                 for e, ys in xs_of.items():
-                    right = permuter(block_permutation(sigma, k, e).perm, built)
+                    block = permuter(block_permutation(sigma, k, e).perm, built)
                     for y in ys:
-                        equi.checks += len(acted)
-                        left = into(d, k, y)
-                        if left(moved) == right(cells_into(d, j, y)):
-                            continue
-                        for x, fx in acted.items():
-                            if left(fx) != right(comp[x, y, j]):
-                                equi.fail(f"outer f={allops[x].table} g={allops[y].table} "
-                                          f"sigma={perm} k={k}", (x, y, 0, s, k))
+                        equi.checks += len(xs)
+                        left, right = into(d, k, y)(moved), block(cells_into(d, j, y))
+                        if left != right:
+                            _sweep(equi, allops, xs, left, right, (y, 0, s, k),
+                                   f"g={allops[y].table} sigma={perm} k={k}", "outer ")
             # inner: f o_i act(tau,g) == act(embed(tau,i,c), f o_i g), f of degree c
             for c, fs in xs_of.items():
                 for i in range(1, c + 1):
-                    right = permuter(embed_permutation(sigma, i, c).perm, built)
+                    embed = permuter(embed_permutation(sigma, i, c).perm, built)
                     for y, gy in acted.items():
                         equi.checks += len(fs)
-                        left = _compose_table(n, c, index(c), d, gy, i)
-                        if left == right(cells_into(c, i, y)):
-                            continue
-                        left = _gather(left)
-                        for x in fs:
-                            if left(allops[x].table) != right(comp[x, y, i]):
-                                equi.fail(f"inner f={allops[x].table} g={allops[y].table} "
-                                          f"tau={perm} i={i}", (x, y, 1, s, i))
+                        left = _compose_table(n, c, index[c], d, gy, i)
+                        right = embed(cells_into(c, i, y))
+                        if left != right:
+                            _sweep(equi, allops, fs, left, right, (y, 1, s, i),
+                                   f"g={allops[y].table} tau={perm} i={i}", "inner ")
     report.results.append(equi)
     return report

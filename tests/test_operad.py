@@ -339,11 +339,16 @@ def test_verifier_reports_flipped_composites(monkeypatch):
         "unit": True,
         "equivariance": True,
     }
-    # the parallel-associativity witness is the first failing (f, g, h, i,
-    # k) in pool order, whatever order the verifier's loops run in
-    for max_degree in (2, 3):
-        report = verify_operad_axioms(2, max_degree)
-        assert {r.axiom: r.witness for r in report.results}["parallel-associativity"] == (
+    # the closure and parallel-associativity witnesses are the first
+    # failing (f, g, i) and (f, g, h, i, k) in pool order, whatever order
+    # the verifier's loops run in
+    for max_degree, closure in [
+        (2, "f=(0, 1, 1, 0) g=(0, 1, 1, 0) i=1"),
+        (3, "f=(0, 1) g=(0, 1, 1, 0, 1, 0, 0, 1) i=1"),
+    ]:
+        witnesses = {r.axiom: r.witness for r in verify_operad_axioms(2, max_degree).results}
+        assert witnesses["closure"] == closure
+        assert witnesses["parallel-associativity"] == (
             "f=(0, 1, 1, 0) g=(1, 0) h=(0, 1, 1, 0) i=1 k=2")
 
 
@@ -467,17 +472,21 @@ def test_verifier_check_counts_match_the_closed_form(n, max_degree):
 
 
 def test_verifier_memory_stays_within_one_pass():
-    # the slot-permutation sweeps keep one permutation's acted operands
-    # and composite gathers at a time, not every permutation's at once
-    tracemalloc.start()
-    try:
-        report = verify_operad_axioms(1, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20, peak
-    assert {r.axiom: r.checks for r in report.results} == operad_check_counts(
-        {d: 1 for d in range(1, 6)})
+    for args, pools, limit in [
+        # the slot-permutation sweeps keep one permutation's acted operands
+        # and composite gathers at a time, not every permutation's at once
+        ((1, 5), {d: 1 for d in range(1, 6)}, 2 ** 20),
+        # the closure check keeps one pool composite at a time, not all
+        ((4, 2, 20), {1: 20, 2: 20}, 2 ** 19),
+    ]:
+        tracemalloc.start()
+        try:
+            report = verify_operad_axioms(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (args, peak)
+        assert {r.axiom: r.checks for r in report.results} == operad_check_counts(pools)
 
 
 def test_verifier_refuses_an_empty_verification():
