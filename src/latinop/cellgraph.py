@@ -11,24 +11,27 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass
 
-from .core import CellSet, _cells, _latin, _within, cell_ceiling
-
-
-@dataclass(frozen=True)
-class HypercubeGraph:
-    vertices: tuple  # cells, lexicographically ordered
-    edges: tuple     # (i, j) vertex-index pairs, i < j, sorted
+from .core import CellSet, _Value, _cells, _latin, _within, cell_ceiling
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    vertices: int
-    edges: int
-    degree_histogram: tuple  # sorted (degree, count) pairs
-    is_regular: bool
-    degree: int | None  # common degree when regular
+class HypercubeGraph(_Value):
+    # vertices: the cells, lexicographically ordered; edges: the (i, j)
+    # vertex-index pairs, i < j, sorted
+    __slots__ = _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple, edges: tuple):
+        self._set(vertices, edges)
+
+
+class GraphStats(_Value):
+    # degree_histogram: the sorted (degree, count) pairs; degree: the
+    # common degree when regular, else None
+    __slots__ = _fields = ("vertices", "edges", "degree_histogram", "is_regular", "degree")
+
+    def __init__(self, vertices: int, edges: int, degree_histogram: tuple, is_regular: bool,
+                 degree: int | None):
+        self._set(vertices, edges, degree_histogram, is_regular, degree)
 
 
 def hypercube_graph(L: CellSet) -> HypercubeGraph:

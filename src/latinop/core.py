@@ -7,14 +7,11 @@ All types are immutable after construction.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import operator
 import os
-import types
-from dataclasses import dataclass
 
 DEFAULT_CELL_CEILING = 10 ** 7
 
@@ -120,6 +117,55 @@ def _check_composable(f, g, i: int) -> None:
     _check_cells(f.n, f.d + g.d - 1)
 
 
+class _Value:
+    """Base of the value types.  A subclass lists its fields, in
+    constructor order, in ``_fields``, and its derived fields, which ==,
+    hash and repr leave out, in ``_hidden``; both are slots.  Objects
+    equal only objects of their own class, comparing the ``_fields``
+    tuple, which is also the hash.  A copy or a pickle rebuilds the
+    object from both tuples without validation.  A subclass is frozen,
+    refusing assignment, unless declared with ``frozen=False``: then it
+    is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    _fields = _hidden = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        super().__init_subclass__()
+        cls._key = operator.attrgetter(*cls._fields)
+        cls._state = operator.attrgetter(*cls._fields, *cls._hidden)
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _trusted, (self.__class__, *self._state(self))
+
+    def _set(self, *values) -> None:
+        """Fill the fields and then the derived fields of a new object."""
+        for name, value in zip(self._fields + self._hidden, values):
+            object.__setattr__(self, name, value)
+
+
 def encode(args, n: int) -> int:
     """Row-major table index of an argument tuple (last argument fastest)."""
     idx = 0
@@ -128,16 +174,15 @@ def encode(args, n: int) -> int:
     return idx
 
 
-@dataclass(frozen=True)
-class SlotPermutation:
+class SlotPermutation(_Value):
     """A bijection of the slots {1..d}, in one-line notation."""
 
-    d: int
-    perm: tuple[int, ...]
+    __slots__ = _fields = ("d", "perm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        _check_perm(self.perm, 1, self.d)
+    def __init__(self, d: int, perm: tuple[int, ...]):
+        perm = tuple(perm)
+        _check_perm(perm, 1, d)
+        self._set(d, perm)
 
     @classmethod
     def identity(cls, d: int) -> "SlotPermutation":
@@ -181,30 +226,28 @@ def _paratope(n: int, d: int, slot_perm, symbol_perms):
     return lambda table: tuple(map(digit, sorted(map(operator.add, cells, map(value, table)))))
 
 
-@dataclass(frozen=True)
-class RawOp:
+class RawOp(_Value):
     """A d-ary operation on {0..n-1} as a dense table, Latin or not.
 
     The table is row-major with the last argument varying fastest.
     """
 
-    n: int
-    d: int
-    table: tuple[int, ...]
+    __slots__ = _fields = ("n", "d", "table")
 
-    def __post_init__(self):
-        _check_shape(self.n, self.d)
-        object.__setattr__(self, "table", tuple(self.table))
-        expected = self.n ** self.d
-        if len(self.table) != expected:
+    def __init__(self, n: int, d: int, table: tuple[int, ...]):
+        _check_shape(n, d)
+        table = tuple(table)
+        expected = n ** d
+        if len(table) != expected:
             raise ValidationError(
-                f"table length {len(self.table)} != n^d = {expected}"
+                f"table length {len(table)} != n^d = {expected}"
             )
-        i = _first_bad(self.table, 0, self.n)
+        i = _first_bad(table, 0, n)
         if i is not None:
             raise ValidationError(
-                f"table entry at index {i} out of range [0, {self.n}): {self.table[i]!r}"
+                f"table entry at index {i} out of range [0, {n}): {table[i]!r}"
             )
+        self._set(n, d, table)
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.d:
@@ -242,13 +285,14 @@ def is_latin(f: RawOp) -> bool:
     return not _non_latin_slot(f.n, f.d, f.table)
 
 
-@dataclass(frozen=True)
 class LatinOp(RawOp):
     """A d-ary quasigroup operation: a RawOp satisfying the Latin property."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check_latin(self.n, self.d, self.table)
+    __slots__ = ()
+
+    def __init__(self, n: int, d: int, table: tuple[int, ...]):
+        super().__init__(n, d, table)
+        _check_latin(n, d, self.table)
 
 
 def _check_latin(n: int, d: int, table) -> None:
@@ -305,8 +349,7 @@ def _cell_table(cells, n: int, d: int) -> tuple:
     return tuple(table)
 
 
-@dataclass(frozen=True, init=False)
-class CellSet:
+class CellSet(_Value):
     """A Latin hypercube as the subset of X^(d+1) that is the graph of a
     Latin table: the cells (x_1..x_d, table[x_1..x_d]).
 
@@ -315,25 +358,30 @@ class CellSet:
     (n, d, table); the frozenset ``cells`` is built on first use.
     """
 
-    n: int
-    d: int
-    table: tuple
+    __slots__ = ("n", "d", "table", "cells")
+    _fields = ("n", "d", "table")
 
     def __init__(self, n: int, d: int, cells):
         _check_shape(n, d, "dimension")
-        cells = frozenset(map(tuple, cells))
+        cells = tuple(map(tuple, cells))
         _check_cell_shapes(cells, n, d)
-        table = _cell_table(cells, n, d)
-        self.__dict__.update(n=n, d=d, table=table, cells=cells)
+        cells = frozenset(cells)
+        self._set(n, d, _cell_table(cells, n, d))
+        object.__setattr__(self, "cells", cells)
+
+    def __getattr__(self, name):
+        """The slot ``cells``, filled on first use; any other missing name
+        raises as usual."""
+        if name != "cells":
+            return object.__getattribute__(self, name)
+        cells = frozenset(self.sorted_cells())
+        object.__setattr__(self, "cells", cells)
+        return cells
 
     def sorted_cells(self) -> tuple:
         """The cells in lexicographic order, which is table order."""
         args = itertools.product(range(self.n), repeat=self.d)
         return tuple(a + (v,) for a, v in zip(args, self.table))
-
-    @functools.cached_property
-    def cells(self) -> frozenset:
-        return frozenset(self.sorted_cells())
 
 
 def is_latin_cellset(cells, n: int, d: int) -> bool:
@@ -355,31 +403,24 @@ def is_latin_cellset(cells, n: int, d: int) -> bool:
 
 @functools.cache
 def _builder(cls):
-    """The function that makes an instance of the frozen dataclass ``cls``
-    from its field values in field order, with one write per field
-    written out, as dataclasses writes an __init__; hot loops bind it
-    once.  A slot is written through its member descriptor's __set__,
-    which skips object.__setattr__'s lookup by name.  Not
-    __dict__.update: that gives each object a dict of its own, which
-    costs memory (searches return tens of thousands of transversals)
-    and slows every later read of the fields."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    namespace = {"new": object.__new__, "setattr": object.__setattr__, "cls": cls}
+    """The function that makes an instance of the value type ``cls``
+    from its fields and then its derived fields, in order, with one
+    write per field written out; hot loops bind it once.  Each slot is
+    written through its member descriptor's __set__, which skips the
+    frozen __setattr__ and the lookup by name."""
+    names = cls._fields + cls._hidden
+    namespace = {"new": object.__new__, "cls": cls}
     sets = []
     for name in names:
-        slot = getattr(cls, name, None)
-        if isinstance(slot, types.MemberDescriptorType):
-            namespace[f"set_{name}"] = slot.__set__
-            sets.append(f"    set_{name}(obj, {name})\n")
-        else:
-            sets.append(f"    setattr(obj, {name!r}, {name})\n")
+        namespace[f"set_{name}"] = getattr(cls, name).__set__
+        sets.append(f"    set_{name}(obj, {name})\n")
     exec(f"def build({', '.join(names)}):\n    obj = new(cls)\n{''.join(sets)}    return obj\n",
          namespace)
     return namespace["build"]
 
 
 def _trusted(cls, *values):
-    """An instance of the frozen dataclass ``cls`` from its field values,
+    """An instance of the value type ``cls`` from its field values,
     built without validation: for values whose invariants hold by
     construction (search output, tables of verified operations)."""
     return _builder(cls)(*values)

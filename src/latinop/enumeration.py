@@ -8,13 +8,13 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from .core import (
     CeilingError,
     CellSet,
     LatinOp,
     ValidationError,
+    _Value,
     _builder,
     _ceiling,
     _check_cells,
@@ -245,8 +245,7 @@ def random_latin(n: int, d: int, seed: int = 0, ceiling: int | None = None) -> L
     return _trusted(LatinOp, n, d, tuple(next(tables)))
 
 
-@dataclass(frozen=True)
-class Paratopism:
+class Paratopism(_Value):
     """An element of Sym(X)^(d+1) x| Sym_{d+1} acting on Latin tables
     through their graphs.
 
@@ -256,20 +255,20 @@ class Paratopism:
     symbol_perms[s-1][x].
     """
 
-    slot_perm: tuple
-    symbol_perms: tuple
+    __slots__ = _fields = ("slot_perm", "symbol_perms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slot_perm", tuple(self.slot_perm))
-        k = len(self.slot_perm)
-        _check_perm(self.slot_perm, 1, k)
-        perms = tuple(tuple(p) for p in self.symbol_perms)
-        object.__setattr__(self, "symbol_perms", perms)
+    def __init__(self, slot_perm: tuple, symbol_perms: tuple):
+        slot_perm = tuple(slot_perm)
+        k = len(slot_perm)
+        _check_perm(slot_perm, 1, k)
+        perms = tuple(tuple(p) for p in symbol_perms)
         if len(perms) != k:
             raise ValidationError(f"expected {k} symbol permutations, got {len(perms)}")
-        _check_shape(len(perms[0]), self.d, "dimension")
+        n = len(perms[0])
+        _check_shape(n, k - 1, "dimension")
         for p in perms:
-            _check_perm(p, 0, self.n - 1)
+            _check_perm(p, 0, n - 1)
+        self._set(slot_perm, perms)
 
     @property
     def d(self) -> int:

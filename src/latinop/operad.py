@@ -11,12 +11,12 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .core import (
     LatinOp,
     SlotPermutation,
     ValidationError,
+    _Value,
     _check_cells,
     _check_composable,
     _check_shape,
@@ -98,13 +98,14 @@ def embed_permutation(tau: SlotPermutation, i: int, d: int) -> SlotPermutation:
     return compose_perm_at(SlotPermutation.identity(d), tau, i)
 
 
-@dataclass
-class AxiomResult:
-    axiom: str
-    checks: int = 0
-    passed: bool = True
-    witness: str | None = None
-    key: tuple = field(default=(), repr=False, compare=False)
+class AxiomResult(_Value, frozen=False):
+    __slots__ = ("axiom", "checks", "passed", "witness", "key")
+    _fields = ("axiom", "checks", "passed", "witness")
+    _hidden = ("key",)
+
+    def __init__(self, axiom: str, checks: int = 0, passed: bool = True,
+                 witness: str | None = None, key: tuple = ()):
+        self._set(axiom, checks, passed, witness, key)
 
     def fail(self, witness: str, key: tuple = ()) -> None:
         """Record a failure: the witness kept is that of the least key,
@@ -113,12 +114,13 @@ class AxiomResult:
             self.passed, self.witness, self.key = False, witness, key
 
 
-@dataclass
-class OperadReport:
-    n: int
-    max_degree: int
-    exhaustive: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
+class OperadReport(_Value, frozen=False):
+    __slots__ = _fields = ("n", "max_degree", "exhaustive", "results")
+
+    def __init__(self, n: int, max_degree: int, exhaustive: dict | None = None,
+                 results: list | None = None):
+        self._set(n, max_degree, {} if exhaustive is None else exhaustive,
+                  [] if results is None else results)
 
     @property
     def ok(self) -> bool:

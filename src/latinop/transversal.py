@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .core import (
     CellSet,
     ValidationError,
+    _Value,
     _builder,
     _check_cell_shapes,
     _check_shape,
@@ -25,8 +25,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Transversal:
+class Transversal(_Value):
     """n cells hitting every value exactly once in every slot.
 
     The constructor keeps the cells in the given order; find_transversals
@@ -37,28 +36,25 @@ class Transversal:
     repr.
     """
 
-    n: int
-    d: int
-    cells: tuple
-    alt_sum: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "d", "cells", "alt_sum")
+    _fields = ("n", "d", "cells")
+    _hidden = ("alt_sum",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
-        n, d = self.n, self.d
+    def __init__(self, n: int, d: int, cells: tuple):
+        cells = tuple(map(tuple, cells))
         _check_shape(n, d, "dimension")
-        if len(self.cells) != n:
+        if len(cells) != n:
             raise ValidationError(
-                f"transversal has {len(self.cells)} cells, expected {n}"
+                f"transversal has {len(cells)} cells, expected {n}"
             )
-        _check_cell_shapes(self.cells, n, d)
-        cols = list(zip(*self.cells))
+        _check_cell_shapes(cells, n, d)
+        cols = list(zip(*cells))
         for s, col in enumerate(cols):
             if len(set(col)) != n:
                 raise ValidationError(
                     f"slot {s + 1} values are not pairwise distinct"
                 )
-        alt_sum = (sum(map(sum, cols[0::2])) - sum(map(sum, cols[1::2]))) % n
-        object.__setattr__(self, "alt_sum", alt_sum)
+        self._set(n, d, cells, (sum(map(sum, cols[0::2])) - sum(map(sum, cols[1::2]))) % n)
 
     def is_contained_in(self, L: CellSet) -> bool:
         # a transversal of larger order has a value outside L's carrier
@@ -243,10 +239,11 @@ def alternating_sum(t: tuple, n: int) -> int:
     return (sum(t[0::2]) - sum(t[1::2])) % n
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaReport:
-    computed: int
-    expected: int
+class DeltaReport(_Value):
+    __slots__ = _fields = ("computed", "expected")
+
+    def __init__(self, computed: int, expected: int):
+        self._set(computed, expected)
 
     @property
     def passed(self) -> bool:

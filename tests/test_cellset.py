@@ -106,14 +106,15 @@ def test_dimension_zero_is_malformed():
 @given(
     st.sampled_from(SHAPES),
     st.lists(
-        st.lists(st.one_of(st.integers(-2, 5), st.just("0"), st.just(0.5)),
+        st.lists(st.one_of(st.integers(-2, 5), st.just("0"), st.just(0.5), st.just([0])),
                  max_size=5),
         min_size=1,
         max_size=6,
     ),
 )
 def test_malformed_cells_raise_validation_error(shape, raw):
-    # "0" and 0.5 equal no int, so a set never merges them into a good cell
+    # "0" and 0.5 equal no int, so a set never merges them into a good cell;
+    # a list entry is unhashable, so the cells are checked before any set
     n, d = shape
     cells = [tuple(c) for c in raw]
     well_formed = all(

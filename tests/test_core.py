@@ -1,24 +1,33 @@
-import dataclasses
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from latinop import (
     CellSet,
+    DeltaReport,
+    GraphStats,
+    HypercubeGraph,
     LatinOp,
+    OperadReport,
     Paratopism,
     RawOp,
     SlotPermutation,
     Transversal,
     ValidationError,
     conjugate,
+    delta_check,
     function_of,
     graph_of,
+    graph_stats,
+    hypercube_graph,
     is_latin,
     is_latin_cellset,
 )
 from latinop.core import _latin, _trusted
 from latinop.enumeration import enumerate_all
+from latinop.operad import AxiomResult
 
 from oracles import cyclic_table, table_is_latin
 
@@ -104,8 +113,7 @@ def test_latin_check_of_raw_op_matches_constructor():
 
 def test_trusted_builds_are_the_validated_objects():
     # every class built trusted, from its field values in field order, is
-    # the object its validating constructor builds; Transversal keeps its
-    # slots and gets no __dict__
+    # the object its validating constructor builds, and has no __dict__
     objects = [
         RawOp(2, 2, (0, 0, 1, 0)),
         LatinOp(3, 2, cyclic_table(3)),
@@ -115,10 +123,72 @@ def test_trusted_builds_are_the_validated_objects():
         Transversal(3, 2, ((0, 0, 0), (1, 2, 1), (2, 1, 2))),
     ]
     for obj in objects:
-        built = _trusted(type(obj), *(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+        cls = type(obj)
+        built = _trusted(cls, *(getattr(obj, name) for name in cls._fields + cls._hidden))
         assert type(built) is type(obj)
         assert built == obj and hash(built) == hash(obj) and repr(built) == repr(obj)
-    assert not hasattr(built, "__dict__")
+        assert not hasattr(obj, "__dict__") and not hasattr(built, "__dict__")
+
+
+def _value_objects():
+    """One object of each value type, each derived field filled."""
+    L = LatinOp(3, 2, cyclic_table(3))
+    T = Transversal(3, 2, ((0, 0, 0), (1, 2, 1), (2, 1, 2)))
+    failed = AxiomResult("closure", 3)
+    failed.fail("f=(0, 1)", (2, 1))
+    return [
+        RawOp(2, 2, (0, 0, 1, 0)),
+        L,
+        CellSet(2, 1, [(0, 1), (1, 0)]),  # cells kept from the constructor
+        graph_of(L),                      # cells built on first use
+        SlotPermutation(3, (2, 3, 1)),
+        Paratopism((2, 1, 3), ((1, 0), (0, 1), (1, 0))),
+        T,
+        delta_check(T),
+        failed,
+        OperadReport(2, 1, {1: True}, [AxiomResult("unit", 4)]),
+        hypercube_graph(graph_of(L)),
+        graph_stats(graph_of(L)),
+    ]
+
+
+@pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+def test_value_types_survive_pickle_and_copies(how):
+    # the rebuilt object is equal, of the same class, with the same repr
+    # and hash, and keeps its derived fields: Transversal.alt_sum,
+    # AxiomResult.key and CellSet.cells
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    rebuild = {
+        "pickle": lambda obj: [pickle.loads(pickle.dumps(obj, p)) for p in protocols],
+        "copy": lambda obj: [copy.copy(obj)],
+        "deepcopy": lambda obj: [copy.deepcopy(obj)],
+    }[how]
+    for obj in _value_objects():
+        for again in rebuild(obj):
+            assert type(again) is type(obj) and again == obj and repr(again) == repr(obj)
+            if type(obj).__hash__ is not None:
+                assert hash(again) == hash(obj)
+            for name in ("alt_sum", "key", "cells"):
+                if hasattr(obj, name):
+                    assert getattr(again, name) == getattr(obj, name), name
+    assert {type(obj) for obj in _value_objects()} == {
+        RawOp, LatinOp, CellSet, SlotPermutation, Paratopism, Transversal, DeltaReport,
+        AxiomResult, OperadReport, HypercubeGraph, GraphStats,
+    }
+
+
+def test_value_types_equal_their_own_class_and_refuse_assignment():
+    table = cyclic_table(3)
+    assert LatinOp(3, 2, table) != RawOp(3, 2, table) and RawOp(3, 2, table) != LatinOp(3, 2, table)
+    assert hash(LatinOp(3, 2, table)) == hash(RawOp(3, 2, table)) == hash((3, 2, table))
+    for obj in _value_objects():
+        if type(obj) in (AxiomResult, OperadReport):
+            continue  # the verifier's reports are filled in as it runs
+        for name in ("n", "alt_sum", "cells", "no_such_field"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, 0)
+        with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+            del obj.n
 
 
 def test_graph_of_identity():

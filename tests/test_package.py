@@ -91,3 +91,32 @@ def test_operad_commands_load_no_search(tmp_path, argv):
     argv = [str(tmp_path / a) if a == "z3.lhc" else a for a in argv]
     modules = loaded(CLI, *argv)[-1].split()
     assert "latinop.operad" in modules and "latinop.enumeration" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "z3.lhc"],
+    ["compose", "z3.lhc", "z3.lhc", "--slot", "1"],
+    ["conjugate", "xor3.lhc", "--slot", "2"],
+    ["act", "xor3.lhc", "--perm", "3 1 2"],
+    ["restrict", "xor3.lhc", "--slot", "1", "--value", "0"],
+    ["enumerate", "--n", "3", "--d", "2", "--count"],
+    ["random", "--n", "3", "--d", "2", "--seed", "1"],
+    ["transversals", "z3.lhc"],
+    ["delta", "z3.lhc", "--transversal", "z3.tsv"],
+    ["canon", "z3.lhc"],
+    ["orbits", "--n", "3", "--d", "2"],
+    ["graph", "xor3.lhc", "--stats"],
+    ["verify-operad", "--n", "2", "--max-degree", "2"],
+    ["autos", "z3.lhc"],
+    ["pullback-compose", "xor3.lhc", "xor3.lhc", "--slot", "2"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    # dataclasses imports inspect, ast, dis and tokenize: the value types
+    # are plain slotted classes, so that no command pays for them at start-up
+    inputs = {"z3.lhc": Z3, "z3.tsv": "0 0 0\n1 1 2\n2 2 1\n",
+              "xor3.lhc": "2 3\n0 1\n1 0\n1 0\n0 1\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in inputs else a for a in argv]
+    lines = loaded(CLI + "\nprint('dataclasses' in sys.modules)", *argv)
+    assert lines[-2] == "False"
