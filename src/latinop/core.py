@@ -208,20 +208,31 @@ def _paratope(n: int, d: int, slot_perm, symbol_perms):
     (1-based; the output is slot d+1) moves to slot slot_perm[s-1], its
     values relabelled by symbol_perms[s-1].
 
-    An image cell is numbered row-major in X^(d+1): target slot t weighs
-    n^(d+1-t).  The argument slots expand by strides to one number per
-    source cell in table order.  If the output slot stays, their order is
-    the image order: the map gathers, from any table.  Otherwise the table
-    must be Latin; each value adds its number, and the sorted numbers
-    hold the image table in their last digits.
+    If the output slot stays, the map gathers, from any table: target
+    slot by target slot, the image cell's argument z in slot t reads the
+    source argument symbol_perms[s-1]^-1[z] of the source slot s that
+    lands there, at that slot's stride, so the source index of each image
+    cell is built in image order.  Otherwise the table must be Latin: an
+    image cell is numbered row-major in X^(d+1), target slot t weighing
+    n^(d+1-t); the argument slots expand by strides to one number per
+    source cell in table order, each value adds its number, and the
+    sorted numbers hold the image table in their last digits.
     """
+    if slot_perm[d] == d + 1:
+        src = [0]
+        for t in range(1, d + 1):
+            s = slot_perm.index(t)
+            stride = n ** (d - 1 - s)
+            row = [0] * n  # row[z] = stride * symbol_perms[s]^-1[z]
+            for x, z in enumerate(symbol_perms[s]):
+                row[z] = x * stride
+            src = [c + w for c in src for w in row]
+        value = tuple(symbol_perms[d])
+        return lambda table: tuple([value[table[x]] for x in src])
     rows = [[y * n ** (d + 1 - t) for y in p] for t, p in zip(slot_perm, symbol_perms)]
     cells = [0]
     for row in rows[:d]:
         cells = [c + w for c in cells for w in row]
-    if slot_perm[d] == d + 1:
-        src, value = sorted(range(len(cells)), key=cells.__getitem__), tuple(symbol_perms[d])
-        return lambda table: tuple([value[table[x]] for x in src])
     value, digit = rows[d].__getitem__, n.__rmod__
     return lambda table: tuple(map(digit, sorted(map(operator.add, cells, map(value, table)))))
 
@@ -262,21 +273,43 @@ class RawOp(_Value):
         return itertools.product(range(self.n), repeat=self.d)
 
 
+# bytes.translate table: a symbol v < 8 to the byte with bit v set
+_ONE_HOT = b"\x01\x02\x04\x08\x10\x20\x40\x80" + bytes(248)
+
+
 def _non_latin_slot(n: int, d: int, t) -> int:
-    """The first 1-based argument slot in which table t is not
-    bijective, or 0 if it is Latin."""
+    """The first 1-based argument slot in which table t, its entries in
+    [0, n), is not bijective, or 0 if it is Latin.
+
+    For d >= 2 and n <= 8 the table is read as one int with a byte per
+    cell, bit v of it set for the symbol v.  A line of slot s runs
+    through n cells ``stride`` = n^(d-1-s) apart, so the OR of the int
+    shifted down by 8*k*stride bits, k < n, holds at each cell whose
+    slot-s argument is 0 the symbols of its line: slot s is bijective
+    iff all n bits are set there.  Otherwise (n > 8, or d = 1, one line,
+    which a set counts sooner than the int is built) each line's
+    distinct values are counted.
+    """
+    if d > 1 and n <= 8:
+        cells = int.from_bytes(bytes(t).translate(_ONE_HOT), "little")
+        lane = bytes((2 ** n - 1,))
+        for s in range(d):
+            stride = n ** (d - 1 - s)
+            # 2^n - 1 in the byte of each cell whose slot-s argument is 0
+            mask = int.from_bytes((lane * stride + bytes(stride * (n - 1))) * n ** s, "little")
+            seen = cells
+            for k in range(8 * stride, 8 * stride * n, 8 * stride):
+                seen |= cells >> k
+            if seen & mask != mask:
+                return s + 1
+        return 0
     for s in range(d):
         stride = n ** (d - 1 - s)
         block = stride * n
         for outer in range(0, len(t), block):
-            for inner in range(stride):
-                base = outer + inner
-                seen = 0
-                for k in range(n):
-                    bit = 1 << t[base + k * stride]
-                    if seen & bit:
-                        return s + 1
-                    seen |= bit
+            for base in range(outer, outer + stride):
+                if len(set(t[base:base + block:stride])) != n:
+                    return s + 1
     return 0
 
 

@@ -12,8 +12,9 @@ from collections import deque
 from functools import lru_cache
 
 
-def table_is_latin(n, d, table):
-    """Definition-level check: every unary section is a bijection."""
+def first_non_latin_slot(n, d, table):
+    """Definition-level: the first 1-based slot s with a unary section
+    x -> table(.., x in slot s, ..) that is not a bijection, or 0."""
     for s in range(d):
         others = [list(range(n))] * (d - 1)
         for rest in itertools.product(*others):
@@ -25,8 +26,13 @@ def table_is_latin(n, d, table):
                     idx = idx * n + a
                 values.add(table[idx])
             if len(values) != n:
-                return False
-    return True
+                return s + 1
+    return 0
+
+
+def table_is_latin(n, d, table):
+    """Definition-level check: every unary section is a bijection."""
+    return first_non_latin_slot(n, d, table) == 0
 
 
 def count_by_generate_and_test(n, d):

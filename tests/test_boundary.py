@@ -47,7 +47,8 @@ from latinop import (
 )
 
 from latinop.cellgraph import edge_list_lines
-from oracles import table_is_latin
+from latinop.core import _first_bad
+from oracles import cyclic_table, table_is_latin
 
 XOR = LatinOp(2, 2, (0, 1, 1, 0))
 XOR3 = LatinOp(2, 3, (0, 1, 1, 0, 1, 0, 0, 1))  # x ^ y ^ z
@@ -140,6 +141,40 @@ def test_one_int_rule(name):
     else:
         assert call(1) == expected
 
+
+
+@pytest.mark.parametrize("bad", [5, -1, True, 1.0])
+def test_int_rule_names_a_late_entry(bad):
+    # one bad value at index 117 of the 125 entries of a (5, 3) table, or
+    # in the last of five transversal cells: each entry point names that
+    # entry, or the cell holding it, with today's message
+    n, d, late = 5, 3, 117
+    table = list(cyclic_table(n, d))
+    table[late] = bad
+    for cls in (RawOp, LatinOp):
+        with pytest.raises(ValidationError) as err:
+            cls(n, d, table)
+        assert str(err.value) == f"table entry at index {late} out of range [0, 5): {bad!r}"
+    with pytest.raises(ValidationError) as err:
+        alternating_sum(table, n)
+    assert str(err.value) == f"entry {bad!r} out of range [0, 5)"
+    args = list(itertools.product(range(n), repeat=d))
+    for column in range(d + 1):  # the bad value in each column of the cells
+        cells = [a + (v,) for a, v in zip(args, cyclic_table(n, d))]
+        cells[late] = cells[late][:column] + (bad,) + cells[late][column + 1:]
+        with pytest.raises(ValidationError) as err:
+            CellSet(n, d, cells)
+        assert str(err.value) == f"cell {cells[late]} entry out of range [0, 5)"
+        diagonal = [(k,) * (d + 1) for k in range(n)]
+        diagonal[-1] = diagonal[-1][:column] + (bad,) + diagonal[-1][column + 1:]
+        with pytest.raises(ValidationError) as err:
+            Transversal(n, d, diagonal)
+        assert str(err.value) == f"cell {diagonal[-1]} entry out of range [0, 5)"
+
+
+def test_int_rule_passes_an_empty_sequence():
+    assert _first_bad((), 0, 1) is None
+    assert alternating_sum((), 5) == 0
 
 def test_latin_gate_on_raw_input():
     # each of these builds a verified hypercube from its operand, so a

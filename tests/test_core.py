@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -25,11 +26,11 @@ from latinop import (
     is_latin,
     is_latin_cellset,
 )
-from latinop.core import _latin, _trusted
+from latinop.core import _latin, _non_latin_slot, _trusted
 from latinop.enumeration import enumerate_all
 from latinop.operad import AxiomResult
 
-from oracles import cyclic_table, table_is_latin
+from oracles import cyclic_table, first_non_latin_slot, table_is_latin
 
 
 def test_is_latin_identity():
@@ -53,6 +54,89 @@ def test_is_latin_matches_definition_oracle():
     for n, d in [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)]:
         for table in itertools.product(range(n), repeat=n ** d):
             assert is_latin(RawOp(n, d, table)) == table_is_latin(n, d, table)
+
+
+# every (n, d) with n <= 12, d <= 5 and n^d <= 5,000, and two orders far
+# past the byte-per-cell path (n <= 8, d >= 2)
+SCAN_SHAPES = [(n, d) for n in range(1, 13) for d in range(1, 6) if n ** d <= 5000]
+SCAN_SHAPES += [(65, 2), (100, 2)]
+
+
+def _constant_in_slot(n, d, s):
+    """The table of the sum mod n of every argument but the one in slot s:
+    Latin in each other slot, constant along slot s."""
+    return tuple((sum(args) - args[s - 1]) % n
+                 for args in itertools.product(range(n), repeat=d))
+
+
+def _scan_tables(n, d, rng):
+    """The cyclic table, a symbol-relabelled copy, copies with 1-3 random
+    cells overwritten, a copy with two cells of one line swapped, and for
+    each slot the table constant along it."""
+    cyclic = cyclic_table(n, d)
+    relabel = rng.sample(range(n), n)
+    yield cyclic
+    yield tuple(relabel[v] for v in cyclic)
+    for k in (1, 2, 3):
+        table = list(cyclic)
+        for i in rng.sample(range(n ** d), min(k, n ** d)):
+            table[i] = rng.randrange(n)
+        yield tuple(table)
+    if n > 1:
+        a, s = rng.randrange(n ** d), rng.randrange(d)
+        stride = n ** (d - 1 - s)
+        x = a // stride % n
+        b = a + ((x + rng.randrange(1, n)) % n - x) * stride  # a, with slot s+1 moved
+        table = list(cyclic)
+        table[a], table[b] = table[b], table[a]
+        yield tuple(table)
+    for s in range(1, d + 1):
+        yield _constant_in_slot(n, d, s)
+
+
+@pytest.mark.parametrize("n, d", SCAN_SHAPES)
+def test_latin_scan_names_the_first_failing_slot(n, d):
+    # each slot fails first for its constant table, so every answer of
+    # the scan is met at each order above 1; lists are scanned as tuples
+    rng = random.Random(1000 * n + d)
+    met = set()
+    for table in _scan_tables(n, d, rng):
+        want = first_non_latin_slot(n, d, table)
+        assert _non_latin_slot(n, d, table) == want
+        assert _non_latin_slot(n, d, list(table)) == want
+        met.add(want)
+    assert met == (set(range(d + 1)) if n > 1 else {0})
+
+
+@pytest.mark.parametrize("n, d", [
+    pytest.param(8, 3, id="n=8, the full byte"),
+    pytest.param(9, 2, id="n=9, the first order off the byte path"),
+    pytest.param(6, 1, id="d=1, off the byte path"),
+    pytest.param(1, 4, id="n=1, one symbol"),
+])
+def test_latin_scan_edges(n, d):
+    # the first cell, the first holding symbol n-1, a middle and the last
+    # cell overwritten with every symbol: at n = 8 the top bit of the byte
+    # is lost and set, and the last byte of the int is written
+    size = n ** d
+    for i in sorted({0, n - 1, size // 2, size - 1}):
+        for v in range(n):
+            table = list(cyclic_table(n, d))
+            table[i] = v
+            assert _non_latin_slot(n, d, table) == first_non_latin_slot(n, d, table)
+
+
+def test_cellset_names_the_oracle_slot():
+    n, d = 8, 3
+    perturbed = list(cyclic_table(n, d))
+    perturbed[300] = (perturbed[300] + 5) % n
+    for table in [perturbed] + [_constant_in_slot(n, d, s) for s in (1, 2, 3)]:
+        cells = [args + (v,) for args, v in zip(itertools.product(range(n), repeat=d), table)]
+        slot = first_non_latin_slot(n, d, table)
+        assert slot
+        with pytest.raises(ValidationError) as err:
+            CellSet(n, d, cells)
+        assert str(err.value) == f"slot {slot} projection is not bijective onto X^{d}"
 
 
 @pytest.mark.parametrize("cls", [RawOp, LatinOp])
