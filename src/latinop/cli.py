@@ -22,15 +22,22 @@ from .core import (
     conjugate,
     is_latin,
 )
-from .formats import _separated, emit_lhc, emit_tsv, parse_lhc, parse_tsv
+from .formats import FormatError, _separated, emit_lhc, emit_tsv, parse_lhc, parse_tsv
 
 
 def _read_text(path):
+    """The file's text, decoded as UTF-8 with its line breaks as they are
+    (the parsers split lines with str.splitlines, which knows them all);
+    a file that cannot be read, or is not UTF-8, is a ValidationError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
 
 
 @contextlib.contextmanager

@@ -193,23 +193,23 @@ def verify_operad_axioms(
     Each composition with a given inner operand, and each slot
     permutation, is a gather derived from the kernels and applied to
     every table it meets: built once per verification, once per sweep
-    over f when the inner operand is a composite or an acted operand, or
-    once per pass of a slot permutation when it is a block or embed
-    permutation of a composite degree.  Both sides of an associativity or
-    equivariance law are gathers of f, so each law is settled once per
-    tuple of the other operands and slots, on the table of f's cell
-    indices; where the two sides differ there, the law runs over every f
-    of the pool to find the witness.  Each composite of two pool
-    operations is built once, as an inner operand of sequential
-    associativity, and checked for closure there.  The count of checks is
-    still that of the (f, g, h, slots) instances each law is settled for.
+    over f when the inner operand is a composite or an acted operand, or,
+    for a slot permutation, once per equivariance pass that uses it.
+    Both sides of an associativity or equivariance law are gathers of f,
+    so each law is settled once per tuple of the other operands and
+    slots, on the table of f's cell indices; where the two sides differ
+    there, the law runs over every f of the pool to find the witness.
+    Each composite of two pool operations is built once, as an inner
+    operand of sequential associativity, and checked for closure there.
+    The count of checks is still that of the (f, g, h, slots) instances
+    each law is settled for.
     """
     for name, value in (("max_degree", max_degree), ("sample_budget", sample_budget)):
         if not _int_in(value, 1):
             raise ValidationError(f"{name} must be >= 1, got {value}")
     _check_cells(n, 2 * max_degree - 1)  # the largest pool composite
     ceiling = cell_ceiling()
-    # the slot permutations of every degree, listed for equivariance
+    # the slot permutations' entries bound their equivariance passes, one each
     nperms = math.factorial(max_degree + 1) - 1  # = sum of deg! * deg
     _within(ceiling, (nperms,), "(max_degree + 1)! - 1 = {} slot permutation entries of "
             "degrees 1..{} exceed the ceiling of {}", nperms, max_degree, ceiling)
@@ -298,25 +298,22 @@ def verify_operad_axioms(
 
     # one pass per slot permutation sigma of each pool degree d: sigma acts
     # on the degree-d pool once, for act(tau, g), tau = sigma, in the inner
-    # law, and on index[d] once, for act(sigma, f) in the outer law.
-    # Permutation gathers come from one table up to max_degree, and are
-    # built once per pass above it.  The witness is the least failing
+    # law, and on index[d] once, for act(sigma, f) in the outer law.  A
+    # pass builds each gather it uses once, sigma's and its block and embed
+    # permutations', and drops them.  The witness is the least failing
     # (f, g, outer before inner, sigma or tau, slot).
-    gathers = {p: _permuter(n, index[len(p)], p)
-               for d in pools for p in itertools.permutations(range(1, d + 1))}
-
-    def permuter(p, built):  # p's gather: in the table, or built once per pass
-        if p not in gathers and p not in built:
+    def permuter(p, built):  # p's gather, built once per pass
+        if p not in built:
             built[p] = _permuter(n, index[len(p)], p)
-        return gathers.get(p) or built[p]
+        return built[p]
 
     equi = AxiomResult("equivariance")
     for d, xs in xs_of.items():
         for s, perm in enumerate(itertools.permutations(range(1, d + 1))):
             sigma = _trusted(SlotPermutation, d, perm)
-            acted = {x: gathers[perm](allops[x].table) for x in xs}
-            moved = gathers[perm](index[d])
             built = {}
+            moved = permuter(perm, built)(index[d])
+            acted = {x: built[perm](allops[x].table) for x in xs}
             # outer: act(sigma,f) o_k g == act(block(sigma,k,e), f o_{sigma^-1(k)} g)
             for k in range(1, d + 1):
                 j = perm.index(k) + 1  # sigma^-1(k)

@@ -1,11 +1,13 @@
-"""The CLI contract: every argv and every input file ends in exit 0, 1,
+r"""The CLI contract: every argv and every input file ends in exit 0, 1,
 2 or 3, never in an uncaught exception.
 
 Arbitrary ``.lhc`` and ``.tsv`` text is written to files and fed to the
 file-reading subcommands together with ``--slot``, ``--value``,
-``--perm`` and ``--limit`` fragments.  The subcommands that read no file
-get small, negative and malformed shapes, budgets and ceilings.
-argparse's own ``SystemExit(2)`` counts as exit 2.
+``--perm`` and ``--limit`` fragments.  Some files hold bytes that are
+not UTF-8, UTF-16 with a byte-order mark, or NUL, ``\x1c``-``\x1f``,
+``\x85`` and ``\xa0`` in place of whitespace.  The subcommands that
+read no file get small, negative and malformed shapes, budgets and
+ceilings.  argparse's own ``SystemExit(2)`` counts as exit 2.
 """
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -56,6 +58,28 @@ def tsv_texts(draw, shape):
     return draw(st.text(max_size=20))
 
 
+SEPARATORS = ["\x00", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0"]
+NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def file_bytes(draw, text):
+    """The bytes of a file holding text: mostly its UTF-8; else with a
+    sequence that is not UTF-8 put in, as UTF-16 with a byte-order mark,
+    or with some of its spaces and line breaks replaced by separators."""
+    kind = draw(st.sampled_from(["utf-8", "utf-8", "utf-8", "bad", "utf-16", "separators"]))
+    if kind == "utf-16":
+        return text.encode("utf-16")
+    if kind == "separators":
+        text = "".join(draw(st.sampled_from(SEPARATORS)) if c in " \n" and draw(st.booleans())
+                       else c for c in text)
+    data = text.encode()
+    if kind == "bad":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from(NOT_UTF8)) + data[k:]
+    return data
+
+
 number = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["x", "", "1e9"]))
 perm = st.sampled_from(["1", "2 1", "1 2", "1 2 3", "3 1 2", "2 2", "0 1", "x", ""])
 
@@ -84,9 +108,9 @@ def test_cli_exit_codes_on_arbitrary_files(tmp_path, capsys, sub, shape, data):
     paths = []
     for k in range(operands):
         path = tmp_path / f"in{k}.lhc"
-        path.write_text(data.draw(lhc_texts(shape)))
+        path.write_bytes(data.draw(lhc_texts(shape).flatmap(file_bytes)))
         paths.append(str(path))
-    (tmp_path / "t.tsv").write_text(data.draw(tsv_texts(shape)))
+    (tmp_path / "t.tsv").write_bytes(data.draw(tsv_texts(shape).flatmap(file_bytes)))
     # half the time no further option; else mostly the subcommand's own
     extra = []
     if data.draw(st.booleans()):

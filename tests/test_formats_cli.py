@@ -216,6 +216,48 @@ def test_missing_file_exits_2(capsys):
     assert main(["check", "/nonexistent.lhc"]) == 2
 
 
+# (argv, the file in it that is not UTF-8, the offset of its first bad byte)
+NOT_UTF8 = [
+    (["check", "bin.lhc"], "bin.lhc", 0),
+    (["canon", "tail.lhc"], "tail.lhc", len(ADD3)),
+    (["delta", "z3.lhc", "--transversal", "bad.tsv"], "bad.tsv", 10),
+]
+
+
+@pytest.mark.parametrize("argv, name, start", NOT_UTF8)
+def test_input_that_is_not_utf8_exits_2(tmp_path, argv, name, start):
+    (tmp_path / "bin.lhc").write_bytes(b"\xff\xfe\n")
+    (tmp_path / "tail.lhc").write_bytes(ADD3.encode() + b"\xff")
+    (tmp_path / "z3.lhc").write_bytes(ADD3.encode())
+    (tmp_path / "bad.tsv").write_bytes(b"0 0 0\n1 1 \xff2\n2 2 1\n")
+    argv, env = cli_argv(argv)
+    proc = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"error: {name}: byte {start}: not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_read_as_lf(tmp_path, capsys, newline):
+    # the file is read as bytes, so its line breaks reach the parser as
+    # they are: check, canon and the error positions match the LF file's
+    texts = [
+        "3 2\n1 2 0\n2 0 1\n0 1 2\n",  # Latin, not in canonical form
+        "2 2\n0 1\n0 1\n",  # not Latin
+        "2 2\n0 1\n1 x\n",  # a bad token on line 3, column 3
+        "2 2\n0 1\n\n1 0 1\n",  # a trailing token after a blank line
+    ]
+    for k, text in enumerate(texts):
+        results = []
+        for name, data in ((f"lf{k}.lhc", text), (f"other{k}.lhc", text.replace("\n", newline))):
+            path = tmp_path / name
+            path.write_bytes(data.encode())
+            for sub in ("check", "canon"):
+                code = main([sub, str(path)])
+                out, err = capsys.readouterr()
+                results.append((sub, code, out, err.replace(str(path), "FILE")))
+        assert results[:2] == results[2:], (newline, text)
+
+
 def test_compose_cli(tmp_path, capsys):
     path = write(tmp_path, "f.lhc", ADD3)
     assert main(["compose", path, path, "--slot", "2"]) == 0

@@ -489,6 +489,33 @@ def test_verifier_memory_stays_within_one_pass():
         assert {r.axiom: r.checks for r in report.results} == operad_check_counts(pools)
 
 
+def test_verifier_holds_one_pass_of_slot_permutation_gathers(monkeypatch):
+    # each gather is counted while it lives; a pass of a degree-d slot
+    # permutation sigma uses sigma's, at most d * D block and D(D+1)/2
+    # embed permutations', D the max-degree, and no other pass's
+    live = {"now": 0, "most": 0}
+
+    class Counted:
+        def __init__(self, gather):
+            self.gather = gather
+            live["now"] += 1
+            live["most"] = max(live["most"], live["now"])
+
+        def __call__(self, table):
+            return self.gather(table)
+
+        def __del__(self):
+            live["now"] -= 1
+
+    monkeypatch.setattr(operad, "_permuter", lambda *args: Counted(_permuter(*args)))
+    for n, D in [(1, 5), (2, 3)]:
+        live["most"] = 0
+        report = verify_operad_axioms(n, D)
+        assert report.ok
+        assert live["now"] == 0
+        assert 0 < live["most"] <= 1 + D * D + D * (D + 1) // 2, (n, D)
+
+
 def test_verifier_refuses_an_empty_verification():
     for max_degree, budget in [(0, 200), (-1, 200), (2, 0), (2, -2), (0, 0)]:
         with pytest.raises(ValidationError, match="must be >= 1"):
